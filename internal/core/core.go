@@ -1,18 +1,30 @@
-// Package core implements the outer AO-ADMM loop (Algorithm 2 of the paper):
-// cyclic per-mode updates, each consisting of a Gram product, an MTTKRP, and
-// an inner ADMM solve, plus the convergence bookkeeping of §V-A and the
-// dynamic factor-sparsity management of §IV-C.
+// Package core runs Algorithm 2 of the paper, the AO outer loop, once for
+// every solver and data plane. Drive is that loop: per outer iteration and
+// mode it forms the Gram product G, takes the MTTKRP K from an Engine, hands
+// both to a Step that updates the mode's factor, and refreshes the factor's
+// Gram; after the sweep it computes the fit (§V-A) and stops once the
+// relative error changes by less than Tol (|Δerr| < Tol). Two parts plug in:
 //
-// The package also contains an unconstrained CPD-ALS solver used as a
-// correctness cross-check: with no constraints, AO-ADMM and ALS minimize the
-// same objective and must reach comparable fits.
+//   - the Engine says where K comes from: CSF trees or the ALTO format in
+//     memory, mode-0 shards streamed from disk, or (internal/distnet)
+//     partial MTTKRPs reduce-scattered across worker processes;
+//   - the Step says how a mode is updated: blocked or baseline inner ADMM
+//     (Factorize, FactorizeOOC; this step owns the duals), the ALS
+//     normal-equations solve (FactorizeALS, FactorizeALSOOC), the HALS
+//     column sweep (FactorizeHALS), or distnet's remote owned-rows ADMM.
+//
+// Each entry point fills its own defaults and calls Drive, so every path
+// shares one stop rule, one checkpoint and warm-restart path, and one
+// observability path (phase breakdown, kernel table, trace). The dynamic
+// factor-sparsity management of §IV-C is the driver's leaf-factor cache.
+// With no constraints AO-ADMM and ALS minimize the same objective, which
+// makes ALS a correctness cross-check.
 package core
 
 import (
 	"context"
 	"fmt"
 	"math"
-	"math/rand"
 	"time"
 
 	"aoadmm/internal/admm"
@@ -82,7 +94,7 @@ func (s Structure) String() string {
 const DefaultMaxOuterIters = 200
 
 // DefaultTol matches the paper's stopping rule: stop when the relative
-// error improves by less than 1e-6.
+// error changes by less than 1e-6 between outer iterations.
 const DefaultTol = 1e-6
 
 // DefaultSparseThreshold is the density below which a factor "can be
@@ -100,7 +112,8 @@ type Options struct {
 	Variant Variant
 	// MaxOuterIters caps outer iterations (<= 0 means 200, the paper's cap).
 	MaxOuterIters int
-	// Tol is the relative-error improvement threshold (<= 0 means 1e-6).
+	// Tol stops the run once the relative error changes by less than Tol
+	// between outer iterations, |Δerr| < Tol (<= 0 means 1e-6).
 	Tol float64
 	// Threads is the worker count (<= 0 means GOMAXPROCS).
 	Threads int
@@ -234,10 +247,10 @@ type Options struct {
 	Tracer *obs.Tracer
 }
 
+// fill applies the single-node entry points' defaults: one constraint per
+// mode, the paper's 200-iteration cap and 1e-6 tolerance, and the 20%
+// sparsity threshold.
 func (o *Options) fill(order int) error {
-	if o.Rank <= 0 {
-		return fmt.Errorf("core: Rank must be positive, got %d", o.Rank)
-	}
 	switch len(o.Constraints) {
 	case 0:
 		o.Constraints = make([]prox.Operator, order)
@@ -261,9 +274,6 @@ func (o *Options) fill(order int) error {
 	}
 	if o.MaxOuterIters <= 0 {
 		o.MaxOuterIters = DefaultMaxOuterIters
-	}
-	if o.DualScale < 0 || o.DualScale > 1 {
-		return fmt.Errorf("core: DualScale must be in (0, 1], got %g", o.DualScale)
 	}
 	if o.Tol <= 0 {
 		o.Tol = DefaultTol
@@ -335,32 +345,13 @@ type sparseImage struct {
 	density float64
 }
 
-// engineSpec bundles what the shared loop needs to know about the data
-// tensor without holding it: its shape, its norm, and how to compile the
-// MTTKRP engine that will stand in for it. build may fail — e.g. an ALTO
-// compile of a tensor too large to linearize, or an unknown format name.
-type engineSpec struct {
-	dims   []int
-	normSq float64
-	build  func() (Engine, error)
-}
-
 // Factorize runs AO-ADMM (Algorithm 2) on an in-memory tensor.
 func Factorize(x *tensor.COO, opts Options) (*Result, error) {
-	if x.Order() < 2 {
-		return nil, fmt.Errorf("core: tensor must have >= 2 modes")
+	p, err := inMemoryProblem(x, func() (Engine, error) { return newEngine(x, opts) })
+	if err != nil {
+		return nil, err
 	}
-	if x.NNZ() == 0 {
-		return nil, fmt.Errorf("core: empty tensor")
-	}
-	if err := x.Validate(); err != nil {
-		return nil, fmt.Errorf("core: invalid tensor: %w", err)
-	}
-	return factorize(engineSpec{
-		dims:   x.Dims,
-		normSq: x.NormSq(),
-		build:  func() (Engine, error) { return newEngine(x, opts) },
-	}, opts)
+	return factorize(p, admmStep, opts)
 }
 
 // FactorizeOOC runs AO-ADMM on a sharded on-disk tensor, streaming shards
@@ -370,294 +361,91 @@ func Factorize(x *tensor.COO, opts Options) (*Result, error) {
 // inert out-of-core — there is no resident tree to image against. Shard I/O
 // counters land in Result.OOC and the metrics report.
 func FactorizeOOC(st *ooc.ShardedTensor, opts Options) (*Result, error) {
-	if err := validateSharded(st); err != nil {
+	p, err := shardedProblem(st, opts)
+	if err != nil {
 		return nil, err
 	}
-	if !validOOCFormat(opts.KernelFormat) {
-		return nil, fmt.Errorf("core: unknown out-of-core kernel format %q (known: csf, alto, auto)", opts.KernelFormat)
-	}
-	return factorize(engineSpec{
-		dims:   st.Dims(),
-		normSq: st.NormSq(),
-		build: func() (Engine, error) {
-			return newOOCEngine(st, opts.Rank, opts.MemBudgetBytes, opts.Tracer, opts.KernelFormat), nil
-		},
-	}, opts)
+	return factorize(p, admmStep, opts)
 }
 
-// factorize is the engine-agnostic AO-ADMM outer loop.
-func factorize(spec engineSpec, opts Options) (*Result, error) {
-	order := len(spec.dims)
-	if err := opts.fill(order); err != nil {
+// inMemoryProblem validates an in-memory tensor and describes it to the
+// driver, with build compiling its engine.
+func inMemoryProblem(x *tensor.COO, build func() (Engine, error)) (Problem, error) {
+	if x.Order() < 2 {
+		return Problem{}, fmt.Errorf("core: tensor must have >= 2 modes")
+	}
+	if x.NNZ() == 0 {
+		return Problem{}, fmt.Errorf("core: empty tensor")
+	}
+	if err := x.Validate(); err != nil {
+		return Problem{}, fmt.Errorf("core: invalid tensor: %w", err)
+	}
+	return Problem{Dims: x.Dims, NormSq: x.NormSq(), Build: build}, nil
+}
+
+// shardedProblem validates a sharded tensor and describes it to the driver
+// with a shard-streaming engine. The per-shard invariants were already
+// checked by ooc.Open.
+func shardedProblem(st *ooc.ShardedTensor, opts Options) (Problem, error) {
+	if st == nil {
+		return Problem{}, fmt.Errorf("core: nil sharded tensor")
+	}
+	if st.Order() < 2 {
+		return Problem{}, fmt.Errorf("core: tensor must have >= 2 modes")
+	}
+	if st.NNZ() == 0 {
+		return Problem{}, fmt.Errorf("core: empty tensor")
+	}
+	if !validOOCFormat(opts.KernelFormat) {
+		return Problem{}, fmt.Errorf("core: unknown out-of-core kernel format %q (known: csf, alto, auto)", opts.KernelFormat)
+	}
+	return Problem{Dims: st.Dims(), NormSq: st.NormSq(), Build: func() (Engine, error) {
+		return newOOCEngine(st, opts.Rank, opts.MemBudgetBytes, opts.Tracer, opts.KernelFormat), nil
+	}}, nil
+}
+
+// factorize fills the entry points' defaults and runs the driver with the
+// step built from the filled options.
+func factorize(p Problem, step func(Options) Step, opts Options) (*Result, error) {
+	if err := opts.fill(len(p.Dims)); err != nil {
 		return nil, err
 	}
+	return Drive(p, step(opts), opts)
+}
 
-	bd := stats.NewBreakdown()
-	tr := opts.Tracer
-	var met *stats.Metrics
-	var tel *par.Telemetry
-	if opts.CollectMetrics {
-		met = stats.NewMetrics()
-	}
-	if opts.CollectMetrics || tr != nil {
-		// Telemetry is also the tracer's carrier into the fork-join regions,
-		// so tracing alone turns the timed scheduler paths on.
-		tel = par.NewTelemetry(par.Threads(opts.Threads))
-		tel.SetTracer(tr)
-	}
-	start := time.Now()
-
-	// Compile the MTTKRP engine: CSF trees or the ALTO linearized format
-	// for in-memory runs, the shard streamer for out-of-core runs.
-	var eng Engine
-	var buildErr error
-	timedKernel(tr, bd, stats.PhaseSetup, met, stats.KernelCSFSetup, stats.ModeNone, func() {
-		eng, buildErr = spec.build()
-	})
-	if buildErr != nil {
-		return nil, buildErr
-	}
-
-	var model *kruskal.Tensor
-	xNormSq := spec.normSq
-	if opts.InitFactors != nil {
-		if err := checkInitShape(opts.InitFactors, spec.dims, opts.Rank); err != nil {
-			return nil, err
-		}
-		model = opts.InitFactors.Clone()
-	} else {
-		rng := rand.New(rand.NewSource(opts.Seed))
-		model = kruskal.Random(spec.dims, opts.Rank, rng)
-		scaleInit(model, xNormSq, opts.Threads)
-	}
-	if opts.InitDuals != nil {
-		if err := checkInitDuals(opts.InitDuals, spec.dims, opts.Rank); err != nil {
-			return nil, err
-		}
-	}
-	duals := make([]*dense.Matrix, order)
-	grams := make([]*dense.Matrix, order)
-	versions := make([]int, order)
-	images := make([]sparseImage, order)
-	for m := 0; m < order; m++ {
-		if opts.InitDuals != nil {
-			duals[m] = opts.InitDuals[m].Clone()
-			if opts.DualScale > 0 && opts.DualScale != 1 {
-				dense.Scale(duals[m], opts.DualScale)
-			}
-		} else {
-			duals[m] = dense.New(spec.dims[m], opts.Rank)
-		}
-		grams[m] = dense.Gram(model.Factors[m], opts.Threads)
-	}
+// admmStep is AO-ADMM's mode update (Algorithm 2, lines 6/10/14): the
+// blocked (§IV-B) or baseline (§IV-A) inner ADMM under the mode's
+// constraint, warm-started from the mode's scaled duals.
+func admmStep(opts Options) Step {
 	ws := &admm.Workspace{}
-	kmat := dense.New(maxDim(spec.dims), opts.Rank)
-
-	if opts.StartIter < 0 {
-		opts.StartIter = 0
-	}
-	res := &Result{
-		Factors:    model,
-		Duals:      duals,
-		Breakdown:  bd,
-		Metrics:    met,
-		Trace:      &stats.Trace{},
-		RelErr:     1,
-		OuterIters: opts.StartIter,
-	}
-	if opts.PrevRelErr > 0 {
-		res.RelErr = opts.PrevRelErr
-	}
-
-	admmCfg := admm.Config{
+	cfg := admm.Config{
 		Eps:         opts.InnerEps,
 		MaxIters:    opts.InnerMaxIters,
 		Threads:     opts.Threads,
 		BlockSize:   opts.BlockSize,
 		AdaptiveRho: opts.AdaptiveRho,
-		Collect:     met != nil,
-		Telem:       tel,
 	}
-
-	prevErr := math.Inf(1)
-	if opts.PrevRelErr > 0 {
-		prevErr = opts.PrevRelErr
+	solve := admm.RunBlocked
+	if opts.Variant == Baseline {
+		solve = admm.Run
 	}
-	for outer := opts.StartIter + 1; outer <= opts.MaxOuterIters; outer++ {
-		if stopRequested(opts.Ctx) {
-			res.Stopped = true
-			break
+	return Step{Kernel: stats.KernelADMMInner, Duals: true, Update: func(u ModeUpdate) (admm.Stats, error) {
+		cfg.Prox = opts.Constraints[u.Mode]
+		cfg.Collect, cfg.Telem = u.Metrics != nil, u.Telem
+		if opts.AutoBlockSize && opts.Variant != Baseline {
+			cfg.BlockSize = blockmodel.DefaultModel().Choose(u.Factor.Rows, opts.Rank, par.Threads(opts.Threads))
 		}
-		res.OuterIters = outer
-		iterStart := time.Now()
-		iterInner := 0
-		var lastK *dense.Matrix
-		var lastMode int
-		for m := 0; m < order; m++ {
-			// G = ∗_{n≠m} AₙᵀAₙ (Algorithm 2, lines 4/8/12).
-			var g *dense.Matrix
-			timedKernel(tr, bd, stats.PhaseOther, met, stats.KernelGram, m, func() {
-				g = gramProduct(grams, m)
-			})
-
-			// K = MTTKRP (lines 5/9/13), with the leaf factor possibly in a
-			// compressed structure. Image construction is charged to the
-			// MTTKRP phase: it exists only to serve this kernel, and the
-			// paper's Table II times include the conversion overhead.
-			k := kmat.RowBlock(0, spec.dims[m])
-			var leaf mttkrp.LeafFactor
-			var mttkrpErr error
-			timedKernel(tr, bd, stats.PhaseMTTKRP, met, stats.KernelMTTKRP, m, func() {
-				withKernelLabels("mttkrp", m, func() {
-					leaf = leafFor(opts, eng.LeafTree(m), model, versions, images, res)
-					mttkrpErr = eng.MTTKRP(m, model.Factors, k, leaf,
-						mttkrp.Options{Threads: opts.Threads, Telem: tel})
-				})
-			})
-			if mttkrpErr != nil {
-				return nil, fmt.Errorf("core: mode %d outer %d: %w", m, outer, mttkrpErr)
-			}
-
-			// Inner ADMM (lines 6/10/14).
-			admmCfg.Prox = opts.Constraints[m]
-			if opts.AutoBlockSize && opts.Variant != Baseline {
-				admmCfg.BlockSize = blockmodel.DefaultModel().Choose(
-					spec.dims[m], opts.Rank, par.Threads(opts.Threads))
-			}
-			var st admm.Stats
-			var err error
-			timedKernel(tr, bd, stats.PhaseADMM, met, stats.KernelADMMInner, m, func() {
-				withKernelLabels("admm", m, func() {
-					if opts.Variant == Baseline {
-						st, err = admm.Run(model.Factors[m], duals[m], k, g, ws, admmCfg)
-					} else {
-						st, err = admm.RunBlocked(model.Factors[m], duals[m], k, g, ws, admmCfg)
-					}
-				})
-			})
-			if err != nil {
-				return nil, fmt.Errorf("core: mode %d outer %d: %w", m, outer, err)
-			}
-			if st.Timing != nil {
-				met.AddKernel(stats.KernelCholesky, m, st.Timing.Cholesky)
-				met.AddKernel(stats.KernelProx, m, st.Timing.Prox)
-			}
-			met.RecordADMMSolve(st.BlockIters, st.RhoAdaptations)
-			versions[m]++
-			iterInner += st.Iterations
-			res.RowIters += st.RowIterations
-
-			timedKernel(tr, bd, stats.PhaseOther, met, stats.KernelGram, m, func() {
-				grams[m] = dense.Gram(model.Factors[m], opts.Threads)
-			})
-			lastK, lastMode = k, m
+		st, err := solve(u.Factor, u.Dual, u.K, u.G, ws, cfg)
+		if err != nil {
+			return st, err
 		}
-		res.InnerIters += iterInner
-
-		// Relative error from the last mode's MTTKRP: K is independent of
-		// that mode's factor, so ⟨X, M⟩ = Σ K∘A_m holds for the updated
-		// factor (§V-A, computed without another tensor pass).
-		var relErr float64
-		timedKernel(tr, bd, stats.PhaseOther, met, stats.KernelFit, stats.ModeNone, func() {
-			inner := kruskal.InnerWithMTTKRP(lastK, model.Factors[lastMode])
-			mNormSq := kruskal.NormSqFromGrams(grams)
-			relErr = kruskal.RelErr(xNormSq, inner, mNormSq)
-		})
-		res.RelErr = relErr
-
-		// Factor-sparsity timeline: density per mode after this outer
-		// iteration, plus the structure of the mode's current MTTKRP image
-		// (DENSE when no compressed image is live). The density scan is
-		// metrics-only cost, comparable to one Gram pass per mode.
-		if met != nil {
-			for m := 0; m < order; m++ {
-				met.RecordDensity(outer, m, dense.Density(model.Factors[m], 0),
-					structureLabel(images[m].leaf))
-			}
+		if st.Timing != nil {
+			u.Metrics.AddKernel(stats.KernelCholesky, u.Mode, st.Timing.Cholesky)
+			u.Metrics.AddKernel(stats.KernelProx, u.Mode, st.Timing.Prox)
 		}
-
-		point := stats.TracePoint{
-			Iteration:  outer,
-			Elapsed:    time.Since(start),
-			RelErr:     relErr,
-			InnerIters: iterInner,
-		}
-		res.Trace.Append(point)
-		tr.Emit("outer", "outer_iter", stats.ModeNone, obs.TIDDriver, int64(outer), iterStart, time.Since(iterStart))
-		if opts.CheckpointDir != "" {
-			every := opts.CheckpointEvery
-			if every <= 0 {
-				every = 10
-			}
-			if outer%every == 0 {
-				if err := opts.Faults.Fire(faults.CheckpointSave); err != nil {
-					res.CheckpointErr = fmt.Errorf("checkpoint %s at iteration %d: %w",
-						opts.CheckpointDir, outer, err)
-				} else {
-					res.CheckpointErr = kruskal.SaveCheckpointAtomic(opts.CheckpointDir, kruskal.Checkpoint{
-						Factors: model,
-						Duals:   duals,
-						Meta: &kruskal.CheckpointMeta{
-							Iteration: outer, RelErr: relErr,
-							JobID: opts.CheckpointJobID, Attempt: opts.CheckpointAttempt,
-							SavedUnixNano: time.Now().UnixNano(),
-						},
-					})
-				}
-			}
-		}
-		if opts.OnIteration != nil && !opts.OnIteration(point) {
-			break
-		}
-		if math.Abs(prevErr-relErr) < opts.Tol {
-			res.Converged = true
-			break
-		}
-		prevErr = relErr
-		if opts.MaxTime > 0 && time.Since(start) > opts.MaxTime {
-			break
-		}
-	}
-
-	res.FactorDensities = make([]float64, order)
-	for m := 0; m < order; m++ {
-		res.FactorDensities[m] = dense.Density(model.Factors[m], 0)
-	}
-	recordScheduler(met, tel)
-	res.KernelBackends = backendNames(eng, order)
-	met.SetBackends(res.KernelBackends)
-	if r := eng.OOCReport(); r != nil {
-		res.OOC = r
-		met.SetOOC(r)
-	}
-	return res, nil
-}
-
-// stopRequested reports whether the optional cancellation context is done.
-// A nil context never stops the run, so the library path stays allocation-
-// and syscall-free when no service is driving it.
-func stopRequested(ctx context.Context) bool {
-	if ctx == nil {
-		return false
-	}
-	select {
-	case <-ctx.Done():
-		return true
-	default:
-		return false
-	}
-}
-
-// recordScheduler folds the run's accumulated per-thread dispatch counters
-// into the metrics object (called once, after the last barrier).
-func recordScheduler(met *stats.Metrics, tel *par.Telemetry) {
-	if met == nil || tel == nil {
-		return
-	}
-	for t := 0; t < tel.NumThreads(); t++ {
-		s := tel.Stat(t)
-		met.RecordSchedulerThread(t, s.Chunks, s.Busy)
-	}
+		u.Metrics.RecordADMMSolve(st.BlockIters, st.RhoAdaptations)
+		return st, nil
+	}}
 }
 
 // leafFor decides the leaf-factor representation for one MTTKRP call: the

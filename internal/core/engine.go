@@ -30,13 +30,17 @@ const (
 	FormatAuto = "auto"
 )
 
-// Engine abstracts where the data tensor lives during the AO loop and which
-// kernel computes MTTKRP: in memory as CSF trees, in memory as the ALTO
-// linearized format, or on disk as mode-0-range shards streamed one at a
-// time. The outer solvers are written against this interface, so every
-// engine shares one loop body (and therefore one convergence and
-// observability path). Engines outside this package register through
-// internal/autoselect and reach the solvers via Options.EngineBuilder.
+// Engine is the driver's data plane: where the data tensor lives during the
+// AO loop and how a mode's MTTKRP K is produced from it — in memory as CSF
+// trees or the ALTO linearized format, on disk as mode-0-range shards
+// streamed one at a time, or (internal/distnet's coordinator) as partial
+// MTTKRPs computed by worker processes and reduce-scattered. Drive asks the
+// engine for K once per mode per outer iteration, in mode order, and hands
+// it to the Step; the engine never sees how the factor is updated, so every
+// engine runs under every step through one loop body (one convergence and
+// observability path). In-memory engines outside this package register
+// through internal/autoselect and reach the solvers via
+// Options.EngineBuilder.
 type Engine interface {
 	// LeafTree returns the resident CSF tree that mode m's MTTKRP will
 	// traverse, or nil for engines with no per-mode tree (ALTO, streaming),
@@ -238,19 +242,4 @@ func backendNames(eng Engine, order int) []string {
 		names[m] = eng.Backend(m)
 	}
 	return names
-}
-
-// validateSharded applies the shared preconditions of the out-of-core entry
-// points. The per-shard invariants were already checked by ooc.Open.
-func validateSharded(st *ooc.ShardedTensor) error {
-	if st == nil {
-		return fmt.Errorf("core: nil sharded tensor")
-	}
-	if st.Order() < 2 {
-		return fmt.Errorf("core: tensor must have >= 2 modes")
-	}
-	if st.NNZ() == 0 {
-		return fmt.Errorf("core: empty tensor")
-	}
-	return nil
 }

@@ -13,9 +13,13 @@ import (
 	"sync/atomic"
 	"time"
 
+	"aoadmm/internal/admm"
+	"aoadmm/internal/core"
+	"aoadmm/internal/csf"
 	"aoadmm/internal/dense"
 	"aoadmm/internal/dist"
 	"aoadmm/internal/kruskal"
+	"aoadmm/internal/mttkrp"
 	"aoadmm/internal/obs"
 	"aoadmm/internal/ooc"
 	"aoadmm/internal/prox"
@@ -496,7 +500,9 @@ type JobOptions struct {
 	// Constraint is the prox.ParseList spec shipped to workers ("" = none).
 	Constraint string
 	// MaxOuterIters caps outer iterations (<= 0 means 50). Tol, when > 0,
-	// stops early once the relative error improves by less than Tol.
+	// stops early once the relative error changes by less than Tol between
+	// outer iterations (|Δerr| < Tol, core's rule); <= 0 runs all
+	// MaxOuterIters.
 	MaxOuterIters int
 	Tol           float64
 	// BlockSize / InnerEps / InnerMaxIters parameterize the workers' local
@@ -505,7 +511,9 @@ type JobOptions struct {
 	InnerEps      float64
 	InnerMaxIters int
 	// Threads is the per-worker ADMM thread count (<= 0 means 1; the block
-	// grid, and therefore the arithmetic, is thread-count independent).
+	// grid, and therefore the arithmetic, is thread-count independent). The
+	// coordinator's own Gram and initialization arithmetic is always
+	// single-threaded, matching dist.Run.
 	Threads int
 	// Seed drives initialization, matching core.Factorize and dist.Run.
 	Seed int64
@@ -546,6 +554,11 @@ type JobResult struct {
 	OuterIters int
 	Converged  bool
 	Stopped    bool
+	// CheckpointErr is the error from the final epoch's most recent
+	// checkpoint save (nil when it succeeded or checkpointing was off). A
+	// failed save is logged and retried at the next interval, so a job can
+	// finish with a stale checkpoint.
+	CheckpointErr error
 	// Comm is the logical collective volume in the simulator's pricing
 	// schema; for a failure-free run it is byte-identical to dist.Run on
 	// the same (tensor, workers, rank, placement). Recovery epochs re-run
@@ -576,14 +589,15 @@ const maxJobEpochs = 64
 // RunJob drives one distributed factorization over the connected workers.
 // Jobs serialize: a second caller blocks until the first finishes.
 //
-// Per epoch the coordinator places the mode-0 ranges over the live workers,
-// ships the replicated model state, and per iteration and mode runs the
-// paper's collective sequence — partial-MTTKRP reduce-scatter (priced per
-// non-owned non-zero row), communication-free local ADMM on owned rows,
-// factor allgather, Gram allreduce — reducing partials in slot order so the
-// float summation order, and hence the result, is bit-identical to
-// dist.Run. A worker death aborts the epoch, and the job warm-restarts on
-// the survivors from the freshest of (last checkpoint, epoch-start state).
+// Each epoch places the mode-0 ranges over the live workers and runs core's
+// AO outer loop (core.Drive) single-threaded on the coordinator, with a
+// netEngine as both its data plane and its mode update: per iteration and
+// mode, the partial-MTTKRP reduce-scatter (priced per non-owned non-zero
+// row), communication-free ADMM on the workers' owned rows, factor
+// allgather, Gram allreduce — reducing partials in slot order so the float
+// summation order, and hence the result, is bit-identical to dist.Run. A
+// worker death aborts the epoch, and the job warm-restarts on the survivors
+// from the freshest of (last checkpoint, epoch-start state).
 func (c *Coordinator) RunJob(opts JobOptions) (*JobResult, error) {
 	c.jobMu.Lock()
 	defer c.jobMu.Unlock()
@@ -600,7 +614,6 @@ func (c *Coordinator) RunJob(opts JobOptions) (*JobResult, error) {
 		return nil, fmt.Errorf("distnet: open shard dir: %w", err)
 	}
 	dims := st.Dims()
-	order := len(dims)
 	rank := opts.Rank
 	if opts.MaxOuterIters <= 0 {
 		opts.MaxOuterIters = 50
@@ -612,8 +625,15 @@ func (c *Coordinator) RunJob(opts JobOptions) (*JobResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	if _, err := dist.BroadcastConstraints(cons, order); err != nil {
+	if _, err := dist.BroadcastConstraints(cons, len(dims)); err != nil {
 		return nil, err
+	}
+	if opts.Resume != nil && opts.Resume.Factors != nil && !modelMatches(opts.Resume, dims, rank) {
+		return nil, fmt.Errorf("distnet: resume checkpoint does not match dims %v rank %d", dims, rank)
+	}
+	checkpointDir := opts.CheckpointDir
+	if opts.CheckpointEvery <= 0 {
+		checkpointDir = ""
 	}
 
 	c.jobsTotal.Add(1)
@@ -627,12 +647,13 @@ func (c *Coordinator) RunJob(opts JobOptions) (*JobResult, error) {
 		tracer = obs.New(1)
 	}
 
-	// Replicated authoritative state. Recovery epochs re-enter here from a
-	// checkpoint or the epoch-start snapshot.
+	// Replicated authoritative state every epoch starts from. The driver
+	// iterates on copies, so an aborted epoch leaves it at the epoch start;
+	// recovery may move it forward to a fresher checkpoint.
 	var model *kruskal.Tensor
 	var duals []*dense.Matrix
 	startIter := 0
-	prevRelErr := 1.0
+	prevRelErr := 0.0
 	if opts.Resume != nil && opts.Resume.Factors != nil {
 		model = opts.Resume.Factors
 		duals = opts.Resume.Duals
@@ -643,14 +664,7 @@ func (c *Coordinator) RunJob(opts JobOptions) (*JobResult, error) {
 	} else {
 		model = dist.InitModel(dims, rank, opts.Seed, xNormSq)
 	}
-	if duals == nil {
-		duals = make([]*dense.Matrix, order)
-	}
-	for m := 0; m < order; m++ {
-		if duals[m] == nil {
-			duals[m] = dense.New(dims[m], rank)
-		}
-	}
+	duals = withDuals(duals, dims, rank)
 
 	pricer := &dist.Pricer{}
 	var commSnap dist.CommStats
@@ -725,25 +739,38 @@ func (c *Coordinator) RunJob(opts JobOptions) (*JobResult, error) {
 			return nil, err
 		}
 
-		// Snapshot epoch-start state for the checkpoint-free recovery path.
-		snapModel := cloneModel(model)
-		snapDuals := cloneMats(duals)
-		snapIter, snapPrev := startIter, prevRelErr
-
-		completed, runErr := c.runEpoch(ctx, epochRun{
-			opts: opts, st: st, dims: dims, order: order, rank: rank,
-			xNormSq: xNormSq, started: started,
-			epoch: epoch, slots: slots, ranges: ranges,
-			model: model, duals: duals,
-			startIter: startIter, prevRelErr: prevRelErr,
-			pricer: pricer, syncComm: syncComm, res: res,
-			tracer: tracer,
+		e := &netEngine{ctx: ctx, opts: &opts, st: st, epoch: epoch, slots: slots,
+			ranges: ranges, rank: rank, pricer: pricer, tracer: tracer}
+		userStop := false
+		r, runErr := core.Drive(core.Problem{
+			Dims:   dims,
+			NormSq: xNormSq,
+			Build:  func() (core.Engine, error) { return e, e.assign(model, duals, startIter) },
+		}, e.step(), core.Options{
+			Rank: rank, MaxOuterIters: opts.MaxOuterIters, Tol: opts.Tol, Threads: 1,
+			InitFactors: model, InitDuals: duals, StartIter: startIter, PrevRelErr: prevRelErr,
+			CheckpointDir: checkpointDir, CheckpointEvery: opts.CheckpointEvery,
+			CheckpointJobID: opts.JobID, CheckpointAttempt: int(epoch),
+			Ctx: ctx, Tracer: tracer,
+			OnIteration: func(p stats.TracePoint) bool {
+				syncComm()
+				p.Elapsed = time.Since(started)
+				userStop = opts.OnIteration != nil && !opts.OnIteration(p)
+				return !userStop
+			},
 		})
 		if runErr == nil {
-			if completed {
-				return finish()
+			model, duals = r.Factors, r.Duals
+			res.RelErr, res.OuterIters, res.Converged = r.RelErr, r.OuterIters, r.Converged
+			res.Stopped = r.Stopped || userStop
+			res.CheckpointErr = r.CheckpointErr
+			if r.CheckpointErr != nil {
+				c.cfg.Logger.Warn("distnet: checkpoint failed", "job", opts.JobID, "err", r.CheckpointErr)
 			}
-			// Epoch exhausted MaxOuterIters.
+			c.sendDone(slots, epoch)
+			if ctx.Err() == nil {
+				c.collectSpans(ctx, e, res)
+			}
 			return finish()
 		}
 		if errors.Is(runErr, context.Canceled) || errors.Is(runErr, context.DeadlineExceeded) {
@@ -758,22 +785,13 @@ func (c *Coordinator) RunJob(opts JobOptions) (*JobResult, error) {
 		// warm-restart from the freshest consistent state.
 		c.reassignments.Add(1)
 		res.Reassignments++
-		model, duals, startIter, prevRelErr = snapModel, snapDuals, snapIter, snapPrev
 		if opts.CheckpointDir != "" {
 			if cp, err := kruskal.LoadCheckpoint(opts.CheckpointDir); err == nil &&
-				cp.Meta != nil && cp.Meta.Iteration >= snapIter &&
+				cp.Meta != nil && cp.Meta.Iteration >= startIter &&
 				(opts.JobID == "" || cp.Meta.JobID == opts.JobID) &&
 				modelMatches(cp, dims, rank) {
 				model = cp.Factors
-				duals = cp.Duals
-				if duals == nil {
-					duals = make([]*dense.Matrix, order)
-				}
-				for m := 0; m < order; m++ {
-					if duals[m] == nil {
-						duals[m] = dense.New(dims[m], rank)
-					}
-				}
+				duals = withDuals(cp.Duals, dims, rank)
 				startIter = cp.Meta.Iteration
 				prevRelErr = cp.Meta.RelErr
 			}
@@ -783,255 +801,196 @@ func (c *Coordinator) RunJob(opts JobOptions) (*JobResult, error) {
 	}
 }
 
-// epochRun carries one epoch's working state into runEpoch.
-type epochRun struct {
-	opts    JobOptions
-	st      *ooc.ShardedTensor
-	dims    []int
-	order   int
-	rank    int
-	xNormSq float64
-	started time.Time
-
+// netEngine is the coordinator's side of one epoch, plugged into core's
+// driver. As the core.Engine it places the shard ranges on the workers and
+// answers each MTTKRP with partial-MTTKRP requests reduce-scattered in slot
+// order; its step ships G and the owned K rows to the workers' local ADMM,
+// gathers the updated factor and dual rows, and broadcasts the factor.
+type netEngine struct {
+	ctx    context.Context
+	opts   *JobOptions
+	st     *ooc.ShardedTensor
 	epoch  uint32
 	slots  []*workerConn
-	ranges [][2]int
-
-	model *kruskal.Tensor
-	duals []*dense.Matrix
-
-	startIter  int
-	prevRelErr float64
-
-	pricer   *dist.Pricer
-	syncComm func()
-	res      *JobResult
-	// tracer is the job's coordinator-side span tracer (nil = tracing off).
+	ranges [][2]int   // mode-0 placement per slot
+	owned  [][][2]int // per-mode row ownership per slot
+	rank   int
+	iter   int // outer iteration of the current sweep
+	pricer *dist.Pricer
 	tracer *obs.Tracer
 }
 
-// runEpoch assigns the epoch to its slots and drives iterations until the
-// job completes (true, nil), MaxOuterIters is exhausted (false, nil), or an
-// error aborts the epoch — errWorkerDead for a recoverable failure.
-func (c *Coordinator) runEpoch(ctx context.Context, e epochRun) (bool, error) {
-	opts, n := e.opts, len(e.slots)
-	dims, order, rank := e.dims, e.order, e.rank
-
-	// Per-mode contiguous row ownership: mode 0 follows nnz placement, the
-	// rest split evenly — the simulator's decomposition exactly.
-	owned := make([][][2]int, order)
-	owned[0] = e.ranges
-	for m := 1; m < order; m++ {
-		owned[m] = dist.Partition(dims[m], n)
+// assign ships the job parameters, placement and the epoch-start state to
+// every slot and waits for each to load its shard range. Mode 0's rows
+// follow the nnz placement and the other modes split evenly — the
+// simulator's decomposition exactly.
+func (e *netEngine) assign(model *kruskal.Tensor, duals []*dense.Matrix, startIter int) error {
+	dims, n := e.st.Dims(), len(e.slots)
+	e.iter = startIter
+	e.owned = make([][][2]int, len(dims))
+	e.owned[0] = e.ranges
+	for m := 1; m < len(dims); m++ {
+		e.owned[m] = dist.Partition(dims[m], n)
 	}
 
-	// Assign: ship job parameters, placement, and the full replicated
-	// state; wait for every slot to load its shard range.
-	asp := e.tracer.Begin("coord", "assign_epoch", -1, obs.TIDDriver, int64(e.epoch))
+	sp := e.tracer.Begin("coord", "assign_epoch", -1, obs.TIDDriver, int64(e.epoch))
+	defer sp.End()
 	trace := uint32(0)
 	if e.tracer != nil {
 		trace = 1
 	}
 	for i, w := range e.slots {
 		a := assign{
-			JobID:         opts.JobID,
+			JobID:         e.opts.JobID,
 			Epoch:         e.epoch,
 			Slot:          uint32(i),
 			Workers:       uint32(n),
-			ShardDir:      opts.ShardDir,
-			Constraint:    opts.Constraint,
-			Rank:          uint32(rank),
-			BlockSize:     uint32(opts.BlockSize),
-			InnerMaxIters: uint32(opts.InnerMaxIters),
-			Threads:       uint32(opts.Threads),
-			InnerEps:      opts.InnerEps,
+			ShardDir:      e.opts.ShardDir,
+			Constraint:    e.opts.Constraint,
+			Rank:          uint32(e.rank),
+			BlockSize:     uint32(e.opts.BlockSize),
+			InnerMaxIters: uint32(e.opts.InnerMaxIters),
+			Threads:       uint32(e.opts.Threads),
+			InnerEps:      e.opts.InnerEps,
 			Trace:         trace,
 			Dims:          dims,
 			Mode0:         [2]int64{int64(e.ranges[i][0]), int64(e.ranges[i][1])},
-			Owned:         ownedFor(owned, i),
-			Factors:       e.model.Factors,
-			Duals:         e.duals,
+			Owned:         ownedFor(e.owned, i),
+			Factors:       model.Factors,
+			Duals:         duals,
 		}
 		if err := w.send(msgAssign, a.encode()); err != nil {
-			return false, err
+			return err
 		}
 	}
 	var totalNNZ int64
 	for _, w := range e.slots {
-		pl, err := w.recv(ctx, e.epoch, msgReady)
+		pl, err := w.recv(e.ctx, e.epoch, msgReady)
 		if err != nil {
-			return false, err
+			return err
 		}
 		r, err := decodeReady(pl)
 		if err != nil {
-			return false, err
+			return err
 		}
 		totalNNZ += r.NNZ
 	}
 	if totalNNZ != e.st.NNZ() {
-		return false, fmt.Errorf("distnet: placement covers %d non-zeros, tensor has %d", totalNNZ, e.st.NNZ())
+		return fmt.Errorf("distnet: placement covers %d non-zeros, tensor has %d", totalNNZ, e.st.NNZ())
 	}
-	asp.End()
+	return nil
+}
 
-	// Replicated Gram state, recomputed from the epoch's factors.
-	grams := make([]*dense.Matrix, order)
-	for m := 0; m < order; m++ {
-		grams[m] = dense.Gram(e.model.Factors[m], 1)
+func (e *netEngine) LeafTree(int) *csf.Tensor { return nil }
+
+// MTTKRP collects every slot's partial MTTKRP — workers send only the
+// non-zero rows — and sums them into k in slot order, so the summation
+// order matches the simulator; each non-owned row is priced exactly as the
+// simulator prices it.
+func (e *netEngine) MTTKRP(m int, _ []*dense.Matrix, k *dense.Matrix, _ mttkrp.LeafFactor, _ mttkrp.Options) error {
+	if m == 0 {
+		e.iter++
 	}
-
-	prevRelErr := e.prevRelErr
-	for iter := e.startIter + 1; iter <= opts.MaxOuterIters; iter++ {
-		isp := e.tracer.Begin("outer", "outer_iter", -1, obs.TIDDriver, int64(iter))
-		var lastK *dense.Matrix
-		var lastMode int
-		for m := 0; m < order; m++ {
-			g := dist.GramProduct(grams, m)
-
-			// Phase 1+2: partial MTTKRPs, reduce-scattered. Workers send
-			// only the non-zero rows of their partial; the reduction runs
-			// in slot order so summation order matches the simulator, and
-			// each non-owned row is priced exactly as the simulator does.
-			rsp := e.tracer.Begin("coord", "reduce_scatter", m, obs.TIDDriver, int64(iter))
-			req := modeReq{Epoch: e.epoch, Iter: uint32(iter), Mode: uint32(m)}.encode()
-			for _, w := range e.slots {
-				if err := w.send(msgMTTKRPReq, req); err != nil {
-					return false, err
-				}
-			}
-			partials := make([]partial, n)
-			for i, w := range e.slots {
-				pl, err := w.recv(ctx, e.epoch, msgPartial)
-				if err != nil {
-					return false, err
-				}
-				p, prank, err := decodePartial(pl)
-				if err != nil {
-					return false, err
-				}
-				if prank != rank || int(p.Mode) != m {
-					return false, fmt.Errorf("distnet: worker %d: partial rank %d mode %d, want %d/%d",
-						w.id, prank, p.Mode, rank, m)
-				}
-				partials[i] = p
-			}
-			k := dense.New(dims[m], rank)
-			for i := range partials {
-				ob, oe := owned[m][i][0], owned[m][i][1]
-				p := partials[i]
-				for ri, r := range p.Rows {
-					row := int(r)
-					if row < 0 || row >= dims[m] {
-						return false, fmt.Errorf("distnet: worker %d: partial row %d outside mode %d dim %d",
-							e.slots[i].id, row, m, dims[m])
-					}
-					dst := k.Row(row)
-					src := p.Vals[ri*rank : (ri+1)*rank]
-					for j, v := range src {
-						dst[j] += v
-					}
-					if row < ob || row >= oe {
-						e.pricer.ReduceScatterRow(rank)
-					}
-				}
-			}
-			rsp.End()
-
-			// Phase 3: ship G + owned K rows; workers run the
-			// communication-free blocked ADMM on their owned spans.
-			osp := e.tracer.Begin("coord", "admm_rows", m, obs.TIDDriver, int64(iter))
-			for i, w := range e.slots {
-				ob, oe := owned[m][i][0], owned[m][i][1]
-				ar := admmReq{Epoch: e.epoch, Mode: uint32(m), G: g, K: k.RowBlock(ob, oe)}
-				if err := w.send(msgADMMReq, ar.encode()); err != nil {
-					return false, err
-				}
-			}
-			for i, w := range e.slots {
-				ob, oe := owned[m][i][0], owned[m][i][1]
-				pl, err := w.recv(ctx, e.epoch, msgFactorRows)
-				if err != nil {
-					return false, err
-				}
-				fr, err := decodeFactorRows(pl)
-				if err != nil {
-					return false, err
-				}
-				if int(fr.Mode) != m ||
-					fr.Factor == nil || fr.Factor.Rows != oe-ob || fr.Factor.Cols != rank ||
-					fr.Dual == nil || fr.Dual.Rows != oe-ob || fr.Dual.Cols != rank {
-					return false, fmt.Errorf("distnet: worker %d: bad factor rows for mode %d", w.id, m)
-				}
-				if oe > ob {
-					e.model.Factors[m].RowBlock(ob, oe).CopyFrom(fr.Factor)
-					e.duals[m].RowBlock(ob, oe).CopyFrom(fr.Dual)
-				}
-				// Phase 4a: the allgather of this slot's updated rows.
-				e.pricer.AllgatherNode(oe-ob, rank, n)
-			}
-			osp.End()
-
-			// Phase 4b: Gram allreduce, then replicate the full factor.
-			bsp := e.tracer.Begin("coord", "factor_bcast", m, obs.TIDDriver, int64(iter))
-			grams[m] = dense.Gram(e.model.Factors[m], 1)
-			e.pricer.GramAllreduce(rank, n)
-			fb := factorBcast{Epoch: e.epoch, Mode: uint32(m), Factor: e.model.Factors[m]}.encode()
-			for _, w := range e.slots {
-				if err := w.send(msgFactorBcast, fb); err != nil {
-					return false, err
-				}
-			}
-			bsp.End()
-			lastK, lastMode = k, m
-		}
-		isp.End()
-
-		inner := kruskal.InnerWithMTTKRP(lastK, e.model.Factors[lastMode])
-		relErr := kruskal.RelErr(e.xNormSq, inner, kruskal.NormSqFromGrams(grams))
-		e.res.RelErr = relErr
-		e.res.OuterIters = iter
-		e.syncComm()
-
-		if opts.CheckpointDir != "" && opts.CheckpointEvery > 0 && iter%opts.CheckpointEvery == 0 {
-			cp := kruskal.Checkpoint{
-				Factors: e.model,
-				Duals:   e.duals,
-				Meta: &kruskal.CheckpointMeta{
-					Iteration:     iter,
-					RelErr:        relErr,
-					JobID:         opts.JobID,
-					Attempt:       int(e.epoch),
-					SavedUnixNano: time.Now().UnixNano(),
-				},
-			}
-			if err := kruskal.SaveCheckpointAtomic(opts.CheckpointDir, cp); err != nil {
-				c.cfg.Logger.Warn("distnet: checkpoint failed", "job", opts.JobID, "iter", iter, "err", err)
-			}
-		}
-
-		if opts.OnIteration != nil && !opts.OnIteration(stats.TracePoint{
-			Iteration: iter,
-			Elapsed:   time.Since(e.started),
-			RelErr:    relErr,
-		}) {
-			e.res.Stopped = true
-			c.sendDone(e.slots, e.epoch)
-			c.collectSpans(ctx, &e)
-			return true, nil
-		}
-		if opts.Tol > 0 && prevRelErr-relErr < opts.Tol {
-			e.res.Converged = true
-			c.sendDone(e.slots, e.epoch)
-			c.collectSpans(ctx, &e)
-			return true, nil
-		}
-		prevRelErr = relErr
-		if err := ctx.Err(); err != nil {
-			return false, err
+	sp := e.tracer.Begin("coord", "reduce_scatter", m, obs.TIDDriver, int64(e.iter))
+	defer sp.End()
+	req := modeReq{Epoch: e.epoch, Iter: uint32(e.iter), Mode: uint32(m)}.encode()
+	for _, w := range e.slots {
+		if err := w.send(msgMTTKRPReq, req); err != nil {
+			return err
 		}
 	}
-	c.sendDone(e.slots, e.epoch)
-	c.collectSpans(ctx, &e)
-	return true, nil
+	partials := make([]partial, len(e.slots))
+	for i, w := range e.slots {
+		pl, err := w.recv(e.ctx, e.epoch, msgPartial)
+		if err != nil {
+			return err
+		}
+		p, prank, err := decodePartial(pl)
+		if err != nil {
+			return err
+		}
+		if prank != e.rank || int(p.Mode) != m {
+			return fmt.Errorf("distnet: worker %d: partial rank %d mode %d, want %d/%d",
+				w.id, prank, p.Mode, e.rank, m)
+		}
+		partials[i] = p
+	}
+	k.Zero()
+	for i, p := range partials {
+		ob, oe := e.owned[m][i][0], e.owned[m][i][1]
+		for ri, r := range p.Rows {
+			row := int(r)
+			if row < 0 || row >= k.Rows {
+				return fmt.Errorf("distnet: worker %d: partial row %d outside mode %d dim %d",
+					e.slots[i].id, row, m, k.Rows)
+			}
+			dst := k.Row(row)
+			for j, v := range p.Vals[ri*e.rank : (ri+1)*e.rank] {
+				dst[j] += v
+			}
+			if row < ob || row >= oe {
+				e.pricer.ReduceScatterRow(e.rank)
+			}
+		}
+	}
+	return nil
+}
+
+func (e *netEngine) OOCReport() *stats.OOCReport { return nil }
+
+func (e *netEngine) Backend(int) string { return "distnet" }
+
+// step is the remote mode update: the workers' communication-free blocked
+// ADMM on their owned rows, then the factor allgather, the Gram allreduce
+// (the driver recomputes the replicated Gram from the gathered factor) and
+// the factor broadcast.
+func (e *netEngine) step() core.Step {
+	return core.Step{Kernel: stats.KernelADMMInner, Duals: true, Update: e.update}
+}
+
+func (e *netEngine) update(u core.ModeUpdate) (admm.Stats, error) {
+	m, n := u.Mode, len(e.slots)
+	sp := e.tracer.Begin("coord", "admm_rows", m, obs.TIDDriver, int64(e.iter))
+	for i, w := range e.slots {
+		ob, oe := e.owned[m][i][0], e.owned[m][i][1]
+		ar := admmReq{Epoch: e.epoch, Mode: uint32(m), G: u.G, K: u.K.RowBlock(ob, oe)}
+		if err := w.send(msgADMMReq, ar.encode()); err != nil {
+			return admm.Stats{}, err
+		}
+	}
+	for i, w := range e.slots {
+		ob, oe := e.owned[m][i][0], e.owned[m][i][1]
+		pl, err := w.recv(e.ctx, e.epoch, msgFactorRows)
+		if err != nil {
+			return admm.Stats{}, err
+		}
+		fr, err := decodeFactorRows(pl)
+		if err != nil {
+			return admm.Stats{}, err
+		}
+		if int(fr.Mode) != m ||
+			fr.Factor == nil || fr.Factor.Rows != oe-ob || fr.Factor.Cols != e.rank ||
+			fr.Dual == nil || fr.Dual.Rows != oe-ob || fr.Dual.Cols != e.rank {
+			return admm.Stats{}, fmt.Errorf("distnet: worker %d: bad factor rows for mode %d", w.id, m)
+		}
+		if oe > ob {
+			u.Factor.RowBlock(ob, oe).CopyFrom(fr.Factor)
+			u.Dual.RowBlock(ob, oe).CopyFrom(fr.Dual)
+		}
+		e.pricer.AllgatherNode(oe-ob, e.rank, n)
+	}
+	sp.End()
+
+	sp = e.tracer.Begin("coord", "factor_bcast", m, obs.TIDDriver, int64(e.iter))
+	defer sp.End()
+	e.pricer.GramAllreduce(e.rank, n)
+	fb := factorBcast{Epoch: e.epoch, Mode: uint32(m), Factor: u.Factor}.encode()
+	for _, w := range e.slots {
+		if err := w.send(msgFactorBcast, fb); err != nil {
+			return admm.Stats{}, err
+		}
+	}
+	return admm.Stats{}, nil
 }
 
 // collectSpans gathers one span batch per surviving slot after Done (the
@@ -1041,7 +1000,7 @@ func (c *Coordinator) runEpoch(ctx context.Context, e epochRun) (bool, error) {
 // rebased against the coordinator tracer's epoch — and appends one
 // ProcessTrace per worker to the job result. Workers that die during
 // collection just lose their spans; the job result is unaffected.
-func (c *Coordinator) collectSpans(ctx context.Context, e *epochRun) {
+func (c *Coordinator) collectSpans(ctx context.Context, e *netEngine, res *JobResult) {
 	if e.tracer == nil {
 		return
 	}
@@ -1070,7 +1029,7 @@ func (c *Coordinator) collectSpans(ctx context.Context, e *epochRun) {
 		if sb.Dropped > 0 {
 			c.cfg.Logger.Warn("distnet: worker trace dropped events", "worker", w.id, "dropped", sb.Dropped)
 		}
-		e.res.Trace = append(e.res.Trace, obs.ProcessTrace{
+		res.Trace = append(res.Trace, obs.ProcessTrace{
 			PID:       int(w.id) + 1,
 			Name:      "worker:" + w.name,
 			SortIndex: int(w.id),
@@ -1099,22 +1058,18 @@ func ownedFor(owned [][][2]int, i int) [][2]int64 {
 	return out
 }
 
-func cloneModel(t *kruskal.Tensor) *kruskal.Tensor {
-	out := &kruskal.Tensor{Factors: cloneMats(t.Factors)}
-	if t.Lambda != nil {
-		out.Lambda = append([]float64(nil), t.Lambda...)
+// withDuals completes a checkpoint's dual set to one matrix per mode, zero
+// where none was saved.
+func withDuals(duals []*dense.Matrix, dims []int, rank int) []*dense.Matrix {
+	if len(duals) != len(dims) {
+		duals = make([]*dense.Matrix, len(dims))
 	}
-	return out
-}
-
-func cloneMats(ms []*dense.Matrix) []*dense.Matrix {
-	out := make([]*dense.Matrix, len(ms))
-	for i, m := range ms {
-		if m != nil {
-			out[i] = m.Clone()
+	for m := range duals {
+		if duals[m] == nil {
+			duals[m] = dense.New(dims[m], rank)
 		}
 	}
-	return out
+	return duals
 }
 
 // modelMatches verifies a loaded checkpoint fits this job's shape.

@@ -50,13 +50,15 @@ func ComputeMode(t *csf.Tensor, mode int, factors []*dense.Matrix, out *dense.Ma
 	nSlices := t.NSlices()
 	chunk := opts.chunk(nSlices, threads)
 
-	// Private per-thread outputs, reduced in thread order below.
+	// Private per-thread outputs, reduced in thread order below. Slices are
+	// dealt to threads cyclically, not claimed dynamically, so each private
+	// sum — and hence the result — is reproducible for a thread count.
 	privs := make([]*dense.Matrix, threads)
 	for i := range privs {
 		privs[i] = dense.New(out.Rows, rank)
 	}
 
-	par.DynamicT(opts.Telem, nSlices, chunk, threads, func(tid, begin, end int) {
+	par.CyclicT(opts.Telem, nSlices, chunk, threads, func(tid, begin, end int) {
 		priv := privs[tid]
 		// Prefix buffers: prefixes[d] holds the product of factor rows for
 		// depths < d, for d in 1..depth. Below-buffers cover depths

@@ -186,6 +186,43 @@ func DynamicT(tel *Telemetry, n, chunk, nThreads int, fn func(tid, begin, end in
 	})
 }
 
+// CyclicT deals [0, n) out in chunks of size chunk round-robin: worker tid
+// runs chunks tid, tid+workers, tid+2·workers, … in order. Unlike DynamicT,
+// which chunks a worker runs depends only on (n, chunk, nThreads), never on
+// timing, so per-worker accumulators (privatized reductions) come out
+// bit-identical on every run with the same thread count, while neighbouring
+// chunks of skewed cost still spread over different workers. The worker
+// clamp and telemetry follow DynamicT.
+func CyclicT(tel *Telemetry, n, chunk, nThreads int, fn func(tid, begin, end int)) {
+	nThreads = Threads(nThreads)
+	if n <= 0 {
+		return
+	}
+	if chunk < 1 {
+		chunk = 1
+	}
+	nChunks := (n + chunk - 1) / chunk
+	nThreads = min(nThreads, nChunks)
+	if tel != nil {
+		tel.grow(nThreads)
+	}
+	Do(nThreads, func(tid int) {
+		for c := tid; c < nChunks; c += nThreads {
+			b := c * chunk
+			e := min(b+chunk, n)
+			if tel != nil {
+				start := time.Now()
+				fn(tid, b, e)
+				d := time.Since(start)
+				tel.add(tid, d)
+				tel.tracer.Emit("sched", "chunk", -1, tid, int64(e-b), start, d)
+			} else {
+				fn(tid, b, e)
+			}
+		}
+	})
+}
+
 // DynamicItems schedules n indivisible items (chunk size 1). Convenience for
 // block-granular work distribution.
 func DynamicItems(n, nThreads int, fn func(tid, item int)) {

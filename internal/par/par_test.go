@@ -104,6 +104,35 @@ func TestDynamicCoversAllIndicesOnce(t *testing.T) {
 	}
 }
 
+// TestCyclicDealsChunksRoundRobin checks CyclicT covers every index once
+// and hands chunk c to worker c mod workers, whatever the timing.
+func TestCyclicDealsChunksRoundRobin(t *testing.T) {
+	for _, n := range []int{0, 1, 17, 256} {
+		for _, chunk := range []int{1, 3, 64, 500} {
+			for _, p := range []int{1, 4} {
+				workers := min(p, max((n+chunk-1)/chunk, 1))
+				hit := make([]atomic.Int32, max(n, 1))
+				CyclicT(nil, n, chunk, p, func(tid, b, e int) {
+					if e > n || b < 0 || b >= e || b%chunk != 0 {
+						t.Errorf("bad chunk [%d,%d) for n=%d", b, e, n)
+					}
+					if c := b / chunk; c%workers != tid {
+						t.Errorf("n=%d chunk=%d p=%d: chunk %d ran on worker %d", n, chunk, p, c, tid)
+					}
+					for i := b; i < e; i++ {
+						hit[i].Add(1)
+					}
+				})
+				for i := 0; i < n; i++ {
+					if hit[i].Load() != 1 {
+						t.Fatalf("n=%d chunk=%d p=%d: index %d hit %d times", n, chunk, p, i, hit[i].Load())
+					}
+				}
+			}
+		}
+	}
+}
+
 func TestDynamicChunkSizes(t *testing.T) {
 	var count atomic.Int64
 	Dynamic(100, 7, 3, func(tid, b, e int) {

@@ -6,6 +6,8 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -186,6 +188,33 @@ func TestServeDistributedJob(t *testing.T) {
 		if !strings.Contains(body, want) {
 			t.Errorf("prometheus exposition missing %q", want)
 		}
+	}
+}
+
+// TestServeDistCheckpointFailureSurfaces puts a regular file where the
+// daemon keeps its checkpoints: every save of a distributed job fails, the
+// job still completes, and the failure reaches the job view's
+// checkpoint_err as it does for single-node jobs.
+func TestServeDistCheckpointFailureSurfaces(t *testing.T) {
+	s, ts, _ := startDistServer(t, 2)
+	if err := os.WriteFile(filepath.Join(s.cfg.DataDir, "checkpoints"), []byte("x"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	shardDir, _ := distTestShards(t, []int{40, 40, 40}, 2000, 43)
+	spec := JobSpec{
+		TensorPath: shardDir, Rank: 3, MaxOuterIters: 3, Tol: 1e-300, Threads: 1,
+		Seed: 1, BlockSize: 10, CheckpointEvery: 1, DistWorkers: 2, Name: "dist-ckpt",
+	}
+	var v JobView
+	if code, raw := doJSON(t, http.MethodPost, ts.URL+"/jobs", spec, &v); code != http.StatusAccepted {
+		t.Fatalf("submit: %d %s", code, raw)
+	}
+	done := pollJob(t, ts.URL, v.ID, JobDone, 60*time.Second)
+	if done.ModelID == "" || done.OuterIters != 3 {
+		t.Fatalf("dist job incomplete: %+v", done)
+	}
+	if done.CheckpointErr == "" {
+		t.Fatal("distributed checkpoint failure never reached the job view")
 	}
 }
 

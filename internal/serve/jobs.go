@@ -1404,12 +1404,13 @@ func (m *Manager) runDistSolver(ctx context.Context, jobID string, spec JobSpec,
 		"collective_bytes", res.Comm.Total(),
 		"wire_sent", res.WireBytesSent, "wire_recv", res.WireBytesReceived)
 	return &core.Result{
-		Factors:    res.Factors,
-		Duals:      res.Duals,
-		RelErr:     res.RelErr,
-		OuterIters: res.OuterIters,
-		Converged:  res.Converged,
-		Stopped:    res.Stopped,
+		Factors:       res.Factors,
+		Duals:         res.Duals,
+		RelErr:        res.RelErr,
+		OuterIters:    res.OuterIters,
+		Converged:     res.Converged,
+		Stopped:       res.Stopped,
+		CheckpointErr: res.CheckpointErr,
 	}, nil
 }
 
