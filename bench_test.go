@@ -244,13 +244,14 @@ func BenchmarkADMM(b *testing.B) {
 		}
 	})
 	b.Run("blocked", func(b *testing.B) {
+		ws := &admm.Workspace{}
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			b.StopTimer()
 			h.CopyFrom(h0)
 			u.Zero()
 			b.StartTimer()
-			if _, err := admm.RunBlocked(h, u, k, g, nil, cfg); err != nil {
+			if _, err := admm.RunBlocked(h, u, k, g, ws, cfg); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -258,20 +259,34 @@ func BenchmarkADMM(b *testing.B) {
 }
 
 // BenchmarkCholeskySolve measures the per-row normal-equations solve that
-// dominates ADMM's line 6.
+// dominates ADMM's line 6, on one default block of rows. Every op restores
+// the right-hand sides from src first (the copy is timed in both
+// sub-benchmarks): solving the same rows in place again and again would
+// shrink them toward the subnormal range and make ns/op depend on b.N.
+// "SolveRows" is the four-row interleaved solve, "per-row" a plain SolveVec
+// loop over the same rows.
 func BenchmarkCholeskySolve(b *testing.B) {
-	for _, rank := range []int{16, 50, 100} {
-		b.Run(fmt.Sprintf("F=%d", rank), func(b *testing.B) {
-			rng := rand.New(rand.NewSource(3))
-			g := dense.AddScaledIdentity(dense.Gram(dense.Random(rank*2, rank, rng), 1), 1)
-			ch, err := dense.NewCholesky(g)
-			if err != nil {
-				b.Fatal(err)
-			}
-			rows := dense.Random(1000, rank, rng)
-			b.ResetTimer()
+	for _, rank := range []int{16, 32, 50, 100} {
+		rng := rand.New(rand.NewSource(3))
+		g := dense.AddScaledIdentity(dense.Gram(dense.Random(rank*2, rank, rng), 1), 1)
+		ch, err := dense.NewCholesky(g)
+		if err != nil {
+			b.Fatal(err)
+		}
+		src := dense.Random(admm.DefaultBlockSize, rank, rng)
+		rows := dense.New(src.Rows, rank)
+		b.Run(fmt.Sprintf("F=%d/SolveRows", rank), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
+				rows.CopyFrom(src)
 				ch.SolveRows(rows)
+			}
+		})
+		b.Run(fmt.Sprintf("F=%d/per-row", rank), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				rows.CopyFrom(src)
+				for r := 0; r < rows.Rows; r++ {
+					ch.SolveVec(rows.Row(r))
+				}
 			}
 		})
 	}

@@ -67,9 +67,9 @@ type Config struct {
 	RhoRatio float64
 	// Collect enables the fine-grained phase timing returned in
 	// Stats.Timing. Timing inside the inner loop uses per-thread shards
-	// merged at the join barrier, but still adds clock reads to the row
-	// loop (~10-30% on small ranks) — leave it off outside profiling runs;
-	// off, the solvers take the untimed code path and pay nothing.
+	// merged at the join barrier, but still adds clock reads around every
+	// row's prox (~10-30% on small ranks) — leave it off outside profiling
+	// runs; off, the row loop reads no clock. Iterates do not depend on it.
 	Collect bool
 	// Telem, when non-nil, receives per-thread scheduler counters (chunks
 	// claimed, busy time) from the solve's dispatch: per-block dynamic
@@ -144,8 +144,9 @@ type Timing struct {
 }
 
 // Workspace holds the per-solve scratch matrices so repeated ADMM calls (one
-// per mode per outer iteration) do not reallocate. Zero value is ready; it
-// grows on demand.
+// per mode per outer iteration) do not reallocate: rows x F for Run, and
+// BlockSize x F per thread for RunBlocked. Zero value is ready; it grows on
+// demand.
 type Workspace struct {
 	ht, h0 *dense.Matrix
 }
@@ -179,70 +180,87 @@ func prepare(g *dense.Matrix) (float64, *dense.Cholesky, error) {
 // iterate performs Algorithm 1's lines 6-11 once over rows [0, n) of the
 // given views, returning the squared residual pieces:
 // primal num ‖H−H̃ᵀ‖², ‖H‖², dual num ‖H−H₀‖², ‖U‖².
-func iterate(h, u, k, ht, h0 *dense.Matrix, op prox.Operator, rho float64, ch *dense.Cholesky) (pNum, pDen, dNum, dDen float64) {
+// Rows go in strips of four: line 6 solves a strip's right-hand sides
+// together with ch.Solve4 (bit-identical to per-row SolveVec), then lines
+// 7-11 run row by row in order. A non-nil proxNs accumulates the
+// nanoseconds spent in the prox.
+func iterate(h, u, k, ht, h0 *dense.Matrix, op prox.Operator, rho float64, ch *dense.Cholesky, proxNs *int64) (pNum, pDen, dNum, dDen float64) {
 	n := h.Rows
 	f := h.Cols
-	for i := 0; i < n; i++ {
-		hRow, uRow, kRow := h.Row(i), u.Row(i), k.Row(i)
-		htRow, h0Row := ht.Row(i), h0.Row(i)
+	for s := 0; s < n; s += 4 {
+		end := min(s+4, n)
 		// Line 6: H̃ᵀ(i,:) = (G+ρI)⁻¹ (K + ρ(H+U))(i,:).
-		for j := 0; j < f; j++ {
-			htRow[j] = kRow[j] + rho*(hRow[j]+uRow[j])
+		for i := s; i < end; i++ {
+			htRow, hRow, uRow, kRow := ht.Row(i), h.Row(i), u.Row(i), k.Row(i)
+			for j := 0; j < f; j++ {
+				htRow[j] = kRow[j] + rho*(hRow[j]+uRow[j])
+			}
 		}
-		ch.SolveVec(htRow)
-		// Line 7: H₀ = H.
-		copy(h0Row, hRow)
-		// Line 8: H = prox(H̃ᵀ − U).
-		for j := 0; j < f; j++ {
-			hRow[j] = htRow[j] - uRow[j]
+		if end-s == 4 {
+			ch.Solve4(ht.Row(s), ht.Row(s+1), ht.Row(s+2), ht.Row(s+3))
+		} else {
+			for i := s; i < end; i++ {
+				ch.SolveVec(ht.Row(i))
+			}
 		}
-		op.ApplyRow(hRow, rho)
-		// Line 9: U = U + H − H̃ᵀ.
-		for j := 0; j < f; j++ {
-			uRow[j] += hRow[j] - htRow[j]
-			// Lines 10-11 numerators/denominators.
-			dp := hRow[j] - htRow[j]
-			pNum += dp * dp
-			pDen += hRow[j] * hRow[j]
-			dd := hRow[j] - h0Row[j]
-			dNum += dd * dd
-			dDen += uRow[j] * uRow[j]
+		for i := s; i < end; i++ {
+			hRow, uRow, htRow, h0Row := h.Row(i), u.Row(i), ht.Row(i), h0.Row(i)
+			// Line 7: H₀ = H.
+			copy(h0Row, hRow)
+			// Line 8: H = prox(H̃ᵀ − U).
+			for j := 0; j < f; j++ {
+				hRow[j] = htRow[j] - uRow[j]
+			}
+			if proxNs == nil {
+				op.ApplyRow(hRow, rho)
+			} else {
+				proxStart := time.Now()
+				op.ApplyRow(hRow, rho)
+				*proxNs += int64(time.Since(proxStart))
+			}
+			// Line 9: U = U + H − H̃ᵀ.
+			for j := 0; j < f; j++ {
+				uRow[j] += hRow[j] - htRow[j]
+				// Lines 10-11 numerators/denominators.
+				dp := hRow[j] - htRow[j]
+				pNum += dp * dp
+				pDen += hRow[j] * hRow[j]
+				dd := hRow[j] - h0Row[j]
+				dNum += dd * dd
+				dDen += uRow[j] * uRow[j]
+			}
 		}
 	}
 	return pNum, pDen, dNum, dDen
 }
 
-// iterateTimed is iterate with the prox applications timed, accumulating
-// nanoseconds into *proxNs. A separate function so the untimed hot path
-// carries no clock reads; the two row loops must stay in lockstep.
-func iterateTimed(h, u, k, ht, h0 *dense.Matrix, op prox.Operator, rho float64, ch *dense.Cholesky, proxNs *int64) (pNum, pDen, dNum, dDen float64) {
-	n := h.Rows
-	f := h.Cols
-	for i := 0; i < n; i++ {
-		hRow, uRow, kRow := h.Row(i), u.Row(i), k.Row(i)
-		htRow, h0Row := ht.Row(i), h0.Row(i)
-		for j := 0; j < f; j++ {
-			htRow[j] = kRow[j] + rho*(hRow[j]+uRow[j])
-		}
-		ch.SolveVec(htRow)
-		copy(h0Row, hRow)
-		for j := 0; j < f; j++ {
-			hRow[j] = htRow[j] - uRow[j]
-		}
-		proxStart := time.Now()
-		op.ApplyRow(hRow, rho)
-		*proxNs += int64(time.Since(proxStart))
-		for j := 0; j < f; j++ {
-			uRow[j] += hRow[j] - htRow[j]
-			dp := hRow[j] - htRow[j]
-			pNum += dp * dp
-			pDen += hRow[j] * hRow[j]
-			dd := hRow[j] - h0Row[j]
-			dNum += dd * dd
-			dDen += uRow[j] * uRow[j]
-		}
+// shard is one worker thread's private counters, merged after the join
+// barrier. It fills a cache line so neighbouring threads do not share one.
+type shard struct {
+	innerNs, proxNs, cholNs, adaptations int64
+	unconverged                          bool
+	_                                    [64 - 5*8]byte
+}
+
+// iterate runs the package-level iterate for the shard's thread, timing the
+// pass into sh when timed is set.
+func (sh *shard) iterate(timed bool, h, u, k, ht, h0 *dense.Matrix, op prox.Operator, rho float64, ch *dense.Cholesky) (pn, pd, dn, dd float64) {
+	if !timed {
+		return iterate(h, u, k, ht, h0, op, rho, ch, nil)
 	}
-	return pNum, pDen, dNum, dDen
+	start := time.Now()
+	pn, pd, dn, dd = iterate(h, u, k, ht, h0, op, rho, ch, &sh.proxNs)
+	sh.innerNs += int64(time.Since(start))
+	return pn, pd, dn, dd
+}
+
+// merge adds the thread-summed times of shards into tm.
+func (tm *Timing) merge(shards []shard) {
+	for _, sh := range shards {
+		tm.Cholesky += time.Duration(sh.cholNs)
+		tm.Inner += time.Duration(sh.innerNs)
+		tm.Prox += time.Duration(sh.proxNs)
+	}
 }
 
 // AbsTol is the per-element absolute residual floor combined with the
@@ -289,34 +307,23 @@ func Run(h, u, k, g *dense.Matrix, ws *Workspace, cfg Config) (Stats, error) {
 	}
 	ht, h0 := ws.ensure(h.Rows, h.Cols)
 
-	// Per-thread timing shards, merged after the loop (at the barrier).
-	var innerNs, proxNs []int64
-	if tm != nil {
-		innerNs = make([]int64, threads)
-		proxNs = make([]int64, threads)
+	type quad struct{ pn, pd, dn, dd float64 }
+	partial := make([]quad, threads)
+	shards := make([]shard, threads)
+	// One fused row pass per iteration; the join plus the residual
+	// aggregation below is the per-iteration synchronization the blocked
+	// variant eliminates.
+	pass := func(tid, begin, end int) {
+		hb, ub := h.RowBlock(begin, end), u.RowBlock(begin, end)
+		kb := k.RowBlock(begin, end)
+		htb, h0b := ht.RowBlock(begin, end), h0.RowBlock(begin, end)
+		pn, pd, dn, dd := shards[tid].iterate(tm != nil, hb, ub, kb, htb, h0b, op, rho, ch)
+		partial[tid] = quad{pn, pd, dn, dd}
 	}
 
 	st := Stats{Blocks: 1}
 	for it := 1; it <= maxIters; it++ {
-		// One fused row pass per iteration; the join plus the residual
-		// aggregation below is the per-iteration synchronization the blocked
-		// variant eliminates.
-		type quad struct{ pn, pd, dn, dd float64 }
-		partial := make([]quad, threads)
-		par.StaticT(cfg.Telem, h.Rows, threads, func(tid, begin, end int) {
-			hb, ub := h.RowBlock(begin, end), u.RowBlock(begin, end)
-			kb := k.RowBlock(begin, end)
-			htb, h0b := ht.RowBlock(begin, end), h0.RowBlock(begin, end)
-			var pn, pd, dn, dd float64
-			if tm != nil {
-				start := time.Now()
-				pn, pd, dn, dd = iterateTimed(hb, ub, kb, htb, h0b, op, rho, ch, &proxNs[tid])
-				innerNs[tid] += int64(time.Since(start))
-			} else {
-				pn, pd, dn, dd = iterate(hb, ub, kb, htb, h0b, op, rho, ch)
-			}
-			partial[tid] = quad{pn, pd, dn, dd}
-		})
+		par.StaticT(cfg.Telem, h.Rows, threads, pass)
 		var pn, pd, dn, dd float64
 		for _, q := range partial {
 			pn += q.pn
@@ -334,19 +341,10 @@ func Run(h, u, k, g *dense.Matrix, ws *Workspace, cfg Config) (Stats, error) {
 	}
 	st.BlockIters = []int{st.Iterations}
 	if tm != nil {
-		tm.Inner = sumNs(innerNs)
-		tm.Prox = sumNs(proxNs)
+		tm.merge(shards)
 		st.Timing = tm
 	}
 	return st, nil
-}
-
-func sumNs(ns []int64) time.Duration {
-	var total int64
-	for _, v := range ns {
-		total += v
-	}
-	return time.Duration(total)
 }
 
 // RunBlocked executes the blockwise reformulation (§IV-B): rows are split
@@ -373,40 +371,28 @@ func RunBlocked(h, u, k, g *dense.Matrix, ws *Workspace, cfg Config) (Stats, err
 	op := cfg.prox()
 	eps := cfg.eps()
 	maxIters := cfg.maxIters()
-	threads := par.Threads(cfg.Threads)
 	bs := cfg.blockSize()
 
 	nBlocks := (h.Rows + bs - 1) / bs
 	if nBlocks == 0 {
 		return Stats{Blocks: 0, Converged: true, Timing: tm}, nil
 	}
-
-	// Per-thread timing shards, merged after the join barrier below.
-	var innerNs, proxNs, cholNs []int64
-	if tm != nil {
-		innerNs = make([]int64, threads)
-		proxNs = make([]int64, threads)
-		cholNs = make([]int64, threads)
+	threads := min(par.Threads(cfg.Threads), nBlocks)
+	if ws == nil {
+		ws = &Workspace{}
 	}
+	// Per-thread scratch reused across all blocks a worker claims: thread t
+	// owns rows [t·BlockSize, (t+1)·BlockSize). Its size (2·BlockSize·F) is
+	// the cache-resident working set §IV-B relies on.
+	scratchHt, scratchH0 := ws.ensure(threads*bs, h.Cols)
 	iters := make([]int, nBlocks)
-	convergedFlags := make([]bool, nBlocks)
-	rowIters := make([]int64, nBlocks)
-
-	// Per-thread scratch reused across all blocks a worker claims; its size
-	// (2·BlockSize·F) is the cache-resident working set §IV-B relies on.
-	scratchHt := make([]*dense.Matrix, threads)
-	scratchH0 := make([]*dense.Matrix, threads)
-	for t := 0; t < threads; t++ {
-		scratchHt[t] = dense.New(bs, h.Cols)
-		scratchH0[t] = dense.New(bs, h.Cols)
-	}
+	shards := make([]shard, threads)
 
 	ratio := cfg.RhoRatio
 	if ratio <= 0 {
 		ratio = 10
 	}
 	ratioSq := ratio * ratio // residual pieces are squared norms
-	adaptations := make([]int64, nBlocks)
 
 	tracer := cfg.Telem.Tracer()
 	par.DynamicItemsT(cfg.Telem, nBlocks, threads, func(tid, b int) {
@@ -417,24 +403,18 @@ func RunBlocked(h, u, k, g *dense.Matrix, ws *Workspace, cfg Config) (Stats, err
 		ub := u.RowBlock(begin, end)
 		kb := k.RowBlock(begin, end)
 		rows := end - begin
-		ht := scratchHt[tid].RowBlock(0, rows)
-		h0 := scratchH0[tid].RowBlock(0, rows)
+		ht := scratchHt.RowBlock(tid*bs, tid*bs+rows)
+		h0 := scratchH0.RowBlock(tid*bs, tid*bs+rows)
+		sh := &shards[tid]
 		// Per-block penalty state; the shared factorization is used until a
 		// block adapts, after which it owns a private one.
 		bRho, bCh := rho, ch
+		conv := false
 		for it := 1; it <= maxIters; it++ {
-			var pn, pd, dn, dd float64
-			if tm != nil {
-				start := time.Now()
-				pn, pd, dn, dd = iterateTimed(hb, ub, kb, ht, h0, op, bRho, bCh, &proxNs[tid])
-				innerNs[tid] += int64(time.Since(start))
-			} else {
-				pn, pd, dn, dd = iterate(hb, ub, kb, ht, h0, op, bRho, bCh)
-			}
+			pn, pd, dn, dd := sh.iterate(tm != nil, hb, ub, kb, ht, h0, op, bRho, bCh)
 			iters[b] = it
-			rowIters[b] += int64(rows)
 			if converged(pn, pd, dn, dd, eps, rows*h.Cols) {
-				convergedFlags[b] = true
+				conv = true
 				break
 			}
 			if cfg.AdaptiveRho && it < maxIters {
@@ -454,40 +434,37 @@ func RunBlocked(h, u, k, g *dense.Matrix, ws *Workspace, cfg Config) (Stats, err
 				refactorStart := time.Now()
 				newCh, _, err := dense.NewCholeskyJitter(dense.AddScaledIdentity(g, newRho), 0, 30)
 				if tm != nil {
-					cholNs[tid] += int64(time.Since(refactorStart))
+					sh.cholNs += int64(time.Since(refactorStart))
 				}
 				if err != nil {
 					continue // keep the old penalty; adaptation is best-effort
 				}
 				bRho, bCh = newRho, newCh
 				dense.Scale(ub, 1/scale)
-				adaptations[b]++
+				sh.adaptations++
 			}
+		}
+		if !conv {
+			sh.unconverged = true
 		}
 		sp.End()
 	})
 
 	st := Stats{Blocks: nBlocks, Converged: true, MinIterations: iters[0], BlockIters: iters}
 	if tm != nil {
-		tm.Cholesky += sumNs(cholNs)
-		tm.Inner = sumNs(innerNs)
-		tm.Prox = sumNs(proxNs)
+		tm.merge(shards)
 		st.Timing = tm
 	}
-	for _, a := range adaptations {
-		st.RhoAdaptations += a
-	}
-	for b := 0; b < nBlocks; b++ {
-		if iters[b] > st.Iterations {
-			st.Iterations = iters[b]
-		}
-		if iters[b] < st.MinIterations {
-			st.MinIterations = iters[b]
-		}
-		st.RowIterations += rowIters[b]
-		if !convergedFlags[b] {
+	for _, sh := range shards {
+		st.RhoAdaptations += sh.adaptations
+		if sh.unconverged {
 			st.Converged = false
 		}
+	}
+	for b, n := range iters {
+		st.Iterations = max(st.Iterations, n)
+		st.MinIterations = min(st.MinIterations, n)
+		st.RowIterations += int64(n * (min((b+1)*bs, h.Rows) - b*bs))
 	}
 	return st, nil
 }

@@ -15,6 +15,13 @@ var ErrNotPositiveDefinite = errors.New("dense: matrix is not positive definite"
 // one Cholesky of (G + ρI) per mode per outer iteration and then performs one
 // forward/backward solve per matrix row per inner iteration, so Solve-side
 // routines are the hot path.
+//
+// A single-row substitution is one serial chain of dependent subtractions,
+// so it runs at floating-point add latency. Solve4 (and SolveRows, which is
+// built on it) substitutes four rows together: each element of L is loaded
+// once and feeds four independent accumulators. Every row still performs
+// exactly SolveVec's operations in SolveVec's order — no reassociation and no
+// reciprocal of the diagonal — so all three solves are bit-identical.
 type Cholesky struct {
 	n  int
 	l  *Matrix // lower triangle, upper part zero
@@ -106,16 +113,59 @@ func (c *Cholesky) SolveVec(b []float64) {
 	}
 }
 
+// Solve4 solves (L·Lᵀ)·x = b for four right-hand sides in place, with
+// results bit-identical to four SolveVec calls. Each slice must have length
+// N(); the four must not overlap.
+func (c *Cholesky) Solve4(b0, b1, b2, b3 []float64) {
+	n := c.n
+	if len(b0) != n || len(b1) != n || len(b2) != n || len(b3) != n {
+		panic(fmt.Sprintf("dense: Solve4 length != %d", n))
+	}
+	// Forward substitution L·y = b.
+	for i := 0; i < n; i++ {
+		li := c.l.Row(i)[:i+1]
+		s0, s1, s2, s3 := b0[i], b1[i], b2[i], b3[i]
+		for k, l := range li[:i] {
+			s0 -= l * b0[k]
+			s1 -= l * b1[k]
+			s2 -= l * b2[k]
+			s3 -= l * b3[k]
+		}
+		d := li[i]
+		b0[i], b1[i], b2[i], b3[i] = s0/d, s1/d, s2/d, s3/d
+	}
+	// Backward substitution Lᵀ·x = y.
+	for i := n - 1; i >= 0; i-- {
+		lti := c.lt.Row(i)[:n]
+		s0, s1, s2, s3 := b0[i], b1[i], b2[i], b3[i]
+		for k := i + 1; k < n; k++ {
+			l := lti[k]
+			s0 -= l * b0[k]
+			s1 -= l * b1[k]
+			s2 -= l * b2[k]
+			s3 -= l * b3[k]
+		}
+		d := lti[i]
+		b0[i], b1[i], b2[i], b3[i] = s0/d, s1/d, s2/d, s3/d
+	}
+}
+
 // SolveRows solves (L·Lᵀ)·xᵀ = bᵀ for every row of b in place; that is, each
 // row b(i,:) is replaced by the solution of (L·Lᵀ)x = b(i,:)ᵀ. This is the
 // multi-right-hand-side solve at the heart of the ADMM primal update
 // (Algorithm 1, line 6), expressed over rows of the tall-and-skinny matrix so
-// that it is trivially row-separable and therefore blockable.
+// that it is trivially row-separable and therefore blockable. Rows go through
+// Solve4 in groups of four and the remainder through SolveVec, so the result
+// is bit-identical to solving each row with SolveVec.
 func (c *Cholesky) SolveRows(b *Matrix) {
 	if b.Cols != c.n {
 		panic(fmt.Sprintf("dense: SolveRows width %d != %d", b.Cols, c.n))
 	}
-	for i := 0; i < b.Rows; i++ {
+	i := 0
+	for ; i+4 <= b.Rows; i += 4 {
+		c.Solve4(b.Row(i), b.Row(i+1), b.Row(i+2), b.Row(i+3))
+	}
+	for ; i < b.Rows; i++ {
 		c.SolveVec(b.Row(i))
 	}
 }

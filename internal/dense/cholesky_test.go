@@ -136,25 +136,6 @@ func TestSolveVecResidualProperty(t *testing.T) {
 	}
 }
 
-func TestSolveRowsMatchesPerRowSolve(t *testing.T) {
-	rng := rand.New(rand.NewSource(24))
-	m := randSPD(5, rng)
-	ch, err := NewCholesky(m)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b := Random(40, 5, rng)
-	want := b.Clone()
-	for i := 0; i < want.Rows; i++ {
-		ch.SolveVec(want.Row(i))
-	}
-	got := b.Clone()
-	ch.SolveRows(got)
-	if MaxAbsDiff(got, want) > 1e-12 {
-		t.Fatal("SolveRows differs from per-row SolveVec")
-	}
-}
-
 func TestSolveRowsOnRowBlockView(t *testing.T) {
 	// Solving a block view must update only that block of the parent.
 	rng := rand.New(rand.NewSource(25))
@@ -181,6 +162,81 @@ func TestSolveRowsOnRowBlockView(t *testing.T) {
 			t.Fatalf("row %d outside block modified", i)
 		}
 	}
+}
+
+// checkSolveRowsBitIdentical solves rows right-hand sides of rank f through
+// SolveRows and through Solve4 (plus SolveVec for the remainder), both on a
+// row-block view whose Stride exceeds Cols by pad, and requires each row to
+// equal the per-row SolveVec result exactly. The padding columns and the
+// parent rows around the view must be left untouched.
+func checkSolveRowsBitIdentical(t testing.TB, seed int64, f, rows, pad int) {
+	rng := rand.New(rand.NewSource(seed))
+	ch, err := NewCholesky(randSPD(f, rng))
+	if err != nil {
+		t.Fatal(err)
+	}
+	stride := f + pad
+	parent := &Matrix{Rows: rows + 2, Cols: f, Stride: stride, Data: make([]float64, (rows+2)*stride)}
+	for i := range parent.Data {
+		parent.Data[i] = rng.NormFloat64()
+	}
+	want := make([][]float64, rows)
+	for i := range want {
+		want[i] = append([]float64(nil), parent.Row(1+i)...)
+		ch.SolveVec(want[i])
+	}
+	check := func(name string, got *Matrix, orig []float64) {
+		for i := 0; i < rows; i++ {
+			for j, w := range want[i] {
+				if g := got.Row(1 + i)[j]; g != w {
+					t.Fatalf("%s F=%d rows=%d pad=%d: row %d col %d = %v, SolveVec = %v", name, f, rows, pad, i, j, g, w)
+				}
+			}
+		}
+		for idx, v := range got.Data {
+			row, col := idx/stride, idx%stride
+			if (row == 0 || row > rows || col >= f) && v != orig[idx] {
+				t.Fatalf("%s F=%d rows=%d pad=%d: wrote outside the view at row %d col %d", name, f, rows, pad, row, col)
+			}
+		}
+	}
+	orig := append([]float64(nil), parent.Data...)
+
+	got := &Matrix{Rows: parent.Rows, Cols: f, Stride: stride, Data: append([]float64(nil), orig...)}
+	ch.SolveRows(got.RowBlock(1, 1+rows))
+	check("SolveRows", got, orig)
+
+	copy(got.Data, orig)
+	view := got.RowBlock(1, 1+rows)
+	i := 0
+	for ; i+4 <= rows; i += 4 {
+		ch.Solve4(view.Row(i), view.Row(i+1), view.Row(i+2), view.Row(i+3))
+	}
+	for ; i < rows; i++ {
+		ch.SolveVec(view.Row(i))
+	}
+	check("Solve4", got, orig)
+}
+
+// TestSolveRowsMatchesPerRowSolve requires SolveRows and Solve4 to equal
+// per-row SolveVec exactly, across full four-row groups and leftovers.
+func TestSolveRowsMatchesPerRowSolve(t *testing.T) {
+	for _, f := range []int{1, 2, 3, 5, 32} {
+		for rows := 0; rows <= 9; rows++ {
+			checkSolveRowsBitIdentical(t, int64(100*f+rows), f, rows, 3)
+		}
+	}
+}
+
+func TestSolve4LengthPanics(t *testing.T) {
+	ch, _ := NewCholesky(FromRows([][]float64{{2, 0}, {0, 2}}))
+	defer func() {
+		if recover() == nil {
+			t.Fatal("expected panic")
+		}
+	}()
+	ok := []float64{1, 2}
+	ch.Solve4(ok, ok[:1], []float64{1, 2}, []float64{3, 4})
 }
 
 func TestSolveVecLengthPanics(t *testing.T) {

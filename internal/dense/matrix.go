@@ -7,7 +7,11 @@
 // millions and F <= a few hundred) or tiny and square (F x F Gram matrices).
 // All kernels are exact O(n^3)/O(n^2) textbook algorithms; the performance
 // story of the paper lives in how rows are blocked and scheduled, not in
-// micro-optimized BLAS.
+// micro-optimized BLAS. The one tuned kernel is the multi-right-hand-side
+// triangular solve against a cached Cholesky factor (the paper's MKL trsm):
+// Cholesky.Solve4 and SolveRows substitute four rows together to hide
+// floating-point add latency, while every row keeps SolveVec's exact
+// operation order, so their results are bit-identical to SolveVec's.
 package dense
 
 import (
@@ -75,12 +79,13 @@ func (m *Matrix) RowBlock(begin, end int) *Matrix {
 	if begin < 0 || end > m.Rows || begin > end {
 		panic(fmt.Sprintf("dense: row block [%d,%d) out of range for %d rows", begin, end, m.Rows))
 	}
-	return &Matrix{
-		Rows:   end - begin,
-		Cols:   m.Cols,
-		Stride: m.Stride,
-		Data:   m.Data[begin*m.Stride : (end-1)*m.Stride+m.Cols],
+	v := &Matrix{Rows: end - begin, Cols: m.Cols, Stride: m.Stride}
+	if end > begin {
+		// An empty view has no data; slicing it would run past the parent's
+		// last row when Stride > Cols.
+		v.Data = m.Data[begin*m.Stride : (end-1)*m.Stride+m.Cols]
 	}
+	return v
 }
 
 // Clone returns a deep copy with compact stride.

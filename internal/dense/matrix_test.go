@@ -107,6 +107,17 @@ func TestRowBlockBoundsPanics(t *testing.T) {
 	}
 }
 
+func TestRowBlockEmptyOfStridedMatrix(t *testing.T) {
+	// A 3x2 matrix with Stride 4: its storage ends 2 elements after the last
+	// row's start, so an empty view must not slice from row begin*Stride.
+	m := &Matrix{Rows: 3, Cols: 2, Stride: 4, Data: make([]float64, 2*4+2)}
+	for b := 0; b <= m.Rows; b++ {
+		if v := m.RowBlock(b, b); v.Rows != 0 || v.Cols != 2 {
+			t.Fatalf("RowBlock(%d,%d) = %dx%d", b, b, v.Rows, v.Cols)
+		}
+	}
+}
+
 func TestCloneIndependent(t *testing.T) {
 	m := FromRows([][]float64{{1, 2}, {3, 4}})
 	c := m.Clone()
