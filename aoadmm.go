@@ -69,11 +69,11 @@ type Options = core.Options
 // error, iteration counts, kernel-time breakdown, and convergence trace.
 type Result = core.Result
 
-// Metrics is the fine-grained observability record collected when
-// Options.CollectMetrics (or the ALS/HALS equivalent) is set: per-mode
-// kernel timers, per-block ADMM inner-iteration histogram, per-thread
-// scheduler telemetry, and the factor-density timeline. A nil *Metrics is
-// safe to use; every method is a no-op.
+// Metrics is the fine-grained observability record every solve collects
+// into Result.Metrics: per-mode kernel timers, per-block ADMM
+// inner-iteration histogram, per-thread scheduler telemetry, and the
+// factor-density timeline. A nil *Metrics is safe to use; every method is a
+// no-op.
 type Metrics = stats.Metrics
 
 // MetricsReport is the JSON-serializable snapshot produced by

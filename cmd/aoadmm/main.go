@@ -126,7 +126,6 @@ func run(c runConfig) error {
 		ExploitSparsity: sparsity,
 		Seed:            seed,
 		MemBudgetBytes:  budgetBytes,
-		CollectMetrics:  c.profile != "",
 		Tracer:          tracer,
 	}
 	switch variant {
@@ -178,12 +177,12 @@ func run(c runConfig) error {
 		}
 		res, err = aoadmm.FactorizeHALS(x, aoadmm.HALSOptions{
 			Rank: rank, MaxOuterIters: maxOuter, Tol: tol, Threads: threads, Seed: seed,
-			CollectMetrics: c.profile != "", Tracer: tracer, KernelFormat: c.format,
+			Tracer: tracer, KernelFormat: c.format,
 		})
 	case "als":
 		alsOpts := aoadmm.ALSOptions{
 			Rank: rank, MaxOuterIters: maxOuter, Tol: tol, Threads: threads, Seed: seed, Ridge: 1e-10,
-			MemBudgetBytes: budgetBytes, CollectMetrics: c.profile != "", Tracer: tracer,
+			MemBudgetBytes: budgetBytes, Tracer: tracer,
 			KernelFormat: c.format,
 		}
 		if sharded != nil {

@@ -65,12 +65,6 @@ type Config struct {
 	// RhoRatio is the imbalance ratio that triggers adaptation (<= 0 means
 	// 10, Boyd's suggestion).
 	RhoRatio float64
-	// Collect enables the fine-grained phase timing returned in
-	// Stats.Timing. Timing inside the inner loop uses per-thread shards
-	// merged at the join barrier, but still adds clock reads around every
-	// row's prox (~10-30% on small ranks) — leave it off outside profiling
-	// runs; off, the row loop reads no clock. Iterates do not depend on it.
-	Collect bool
 	// Telem, when non-nil, receives per-thread scheduler counters (chunks
 	// claimed, busy time) from the solve's dispatch: per-block dynamic
 	// dispatch in RunBlocked, per-iteration static spans in Run.
@@ -127,21 +121,26 @@ type Stats struct {
 	// (a single entry for the baseline solver, which converges globally).
 	// This is the raw data behind the per-block convergence histogram.
 	BlockIters []int
-	// Timing is the fine-grained phase split, non-nil when Config.Collect.
-	Timing *Timing
+	// Timing is the fine-grained time split of the solve.
+	Timing Timing
 }
 
-// Timing is the fine-grained time split of one solve, collected when
-// Config.Collect is set. Cholesky is the wall time of the shared (G + rho*I)
-// factorization plus thread-summed adaptive refactorizations. Inner and Prox
-// are busy time summed across worker threads — CPU seconds, not wall clock,
-// so on p threads they can reach p times the solve's elapsed time — and
-// Prox is a subset of Inner.
+// Timing is the fine-grained time split of one solve. Cholesky is the wall
+// time of the shared (G + rho*I) factorization plus thread-summed adaptive
+// refactorizations. Prox is CPU time summed across worker threads, so on p
+// threads it can reach p times the solve's elapsed time. It is an estimate:
+// each row pass times the prox of one four-row strip in every proxSampleEvery
+// (always its first) and scales by the rows the pass covered. A clock pair
+// costs more than a typical row's prox, so timing every row would distort
+// what it measures; with sampling a 50-row block pass reads the clock once.
 type Timing struct {
 	Cholesky time.Duration
-	Inner    time.Duration
 	Prox     time.Duration
 }
+
+// proxSampleEvery is the strip stride of the sampled prox timing: one
+// four-row strip in every proxSampleEvery is timed.
+const proxSampleEvery = 16
 
 // Workspace holds the per-solve scratch matrices so repeated ADMM calls (one
 // per mode per outer iteration) do not reallocate: rows x F for Run, and
@@ -181,12 +180,15 @@ func prepare(g *dense.Matrix) (float64, *dense.Cholesky, error) {
 // given views, returning the squared residual pieces:
 // primal num ‖H−H̃ᵀ‖², ‖H‖², dual num ‖H−H₀‖², ‖U‖².
 // Rows go in strips of four: line 6 solves a strip's right-hand sides
-// together with ch.Solve4 (bit-identical to per-row SolveVec), then lines
-// 7-11 run row by row in order. A non-nil proxNs accumulates the
-// nanoseconds spent in the prox.
+// together with ch.Solve4 (bit-identical to per-row SolveVec), line 8's prox
+// runs over the strip's rows, then lines 9-11 run row by row in order. Every
+// row's arithmetic is independent of its neighbours' and the residual sums
+// accumulate in row order, so the iterates match a per-row loop bit for bit.
+// proxNs accumulates the pass's estimated prox nanoseconds (see Timing).
 func iterate(h, u, k, ht, h0 *dense.Matrix, op prox.Operator, rho float64, ch *dense.Cholesky, proxNs *int64) (pNum, pDen, dNum, dDen float64) {
 	n := h.Rows
 	f := h.Cols
+	var sampledNs, sampledRows int64
 	for s := 0; s < n; s += 4 {
 		end := min(s+4, n)
 		// Line 6: H̃ᵀ(i,:) = (G+ρI)⁻¹ (K + ρ(H+U))(i,:).
@@ -204,20 +206,28 @@ func iterate(h, u, k, ht, h0 *dense.Matrix, op prox.Operator, rho float64, ch *d
 			}
 		}
 		for i := s; i < end; i++ {
-			hRow, uRow, htRow, h0Row := h.Row(i), u.Row(i), ht.Row(i), h0.Row(i)
+			hRow, uRow, htRow := h.Row(i), u.Row(i), ht.Row(i)
 			// Line 7: H₀ = H.
-			copy(h0Row, hRow)
-			// Line 8: H = prox(H̃ᵀ − U).
+			copy(h0.Row(i), hRow)
 			for j := 0; j < f; j++ {
 				hRow[j] = htRow[j] - uRow[j]
 			}
-			if proxNs == nil {
-				op.ApplyRow(hRow, rho)
-			} else {
-				proxStart := time.Now()
-				op.ApplyRow(hRow, rho)
-				*proxNs += int64(time.Since(proxStart))
+		}
+		// Line 8: H = prox(H̃ᵀ − U).
+		if s%(4*proxSampleEvery) == 0 {
+			proxStart := time.Now()
+			for i := s; i < end; i++ {
+				op.ApplyRow(h.Row(i), rho)
 			}
+			sampledNs += int64(time.Since(proxStart))
+			sampledRows += int64(end - s)
+		} else {
+			for i := s; i < end; i++ {
+				op.ApplyRow(h.Row(i), rho)
+			}
+		}
+		for i := s; i < end; i++ {
+			hRow, uRow, htRow, h0Row := h.Row(i), u.Row(i), ht.Row(i), h0.Row(i)
 			// Line 9: U = U + H − H̃ᵀ.
 			for j := 0; j < f; j++ {
 				uRow[j] += hRow[j] - htRow[j]
@@ -231,34 +241,24 @@ func iterate(h, u, k, ht, h0 *dense.Matrix, op prox.Operator, rho float64, ch *d
 			}
 		}
 	}
+	if sampledRows > 0 {
+		*proxNs += sampledNs * int64(n) / sampledRows
+	}
 	return pNum, pDen, dNum, dDen
 }
 
 // shard is one worker thread's private counters, merged after the join
 // barrier. It fills a cache line so neighbouring threads do not share one.
 type shard struct {
-	innerNs, proxNs, cholNs, adaptations int64
-	unconverged                          bool
-	_                                    [64 - 5*8]byte
-}
-
-// iterate runs the package-level iterate for the shard's thread, timing the
-// pass into sh when timed is set.
-func (sh *shard) iterate(timed bool, h, u, k, ht, h0 *dense.Matrix, op prox.Operator, rho float64, ch *dense.Cholesky) (pn, pd, dn, dd float64) {
-	if !timed {
-		return iterate(h, u, k, ht, h0, op, rho, ch, nil)
-	}
-	start := time.Now()
-	pn, pd, dn, dd = iterate(h, u, k, ht, h0, op, rho, ch, &sh.proxNs)
-	sh.innerNs += int64(time.Since(start))
-	return pn, pd, dn, dd
+	proxNs, cholNs, adaptations int64
+	unconverged                 bool
+	_                           [64 - 4*8]byte
 }
 
 // merge adds the thread-summed times of shards into tm.
 func (tm *Timing) merge(shards []shard) {
 	for _, sh := range shards {
 		tm.Cholesky += time.Duration(sh.cholNs)
-		tm.Inner += time.Duration(sh.innerNs)
 		tm.Prox += time.Duration(sh.proxNs)
 	}
 }
@@ -286,18 +286,12 @@ func Run(h, u, k, g *dense.Matrix, ws *Workspace, cfg Config) (Stats, error) {
 	if err := checkShapes(h, u, k, g); err != nil {
 		return Stats{}, err
 	}
-	var tm *Timing
-	if cfg.Collect {
-		tm = &Timing{}
-	}
 	cholStart := time.Now()
 	rho, ch, err := prepare(g)
 	if err != nil {
 		return Stats{}, err
 	}
-	if tm != nil {
-		tm.Cholesky = time.Since(cholStart)
-	}
+	cholesky := time.Since(cholStart)
 	op := cfg.prox()
 	eps := cfg.eps()
 	maxIters := cfg.maxIters()
@@ -317,11 +311,11 @@ func Run(h, u, k, g *dense.Matrix, ws *Workspace, cfg Config) (Stats, error) {
 		hb, ub := h.RowBlock(begin, end), u.RowBlock(begin, end)
 		kb := k.RowBlock(begin, end)
 		htb, h0b := ht.RowBlock(begin, end), h0.RowBlock(begin, end)
-		pn, pd, dn, dd := shards[tid].iterate(tm != nil, hb, ub, kb, htb, h0b, op, rho, ch)
+		pn, pd, dn, dd := iterate(hb, ub, kb, htb, h0b, op, rho, ch, &shards[tid].proxNs)
 		partial[tid] = quad{pn, pd, dn, dd}
 	}
 
-	st := Stats{Blocks: 1}
+	st := Stats{Blocks: 1, Timing: Timing{Cholesky: cholesky}}
 	for it := 1; it <= maxIters; it++ {
 		par.StaticT(cfg.Telem, h.Rows, threads, pass)
 		var pn, pd, dn, dd float64
@@ -340,10 +334,7 @@ func Run(h, u, k, g *dense.Matrix, ws *Workspace, cfg Config) (Stats, error) {
 		}
 	}
 	st.BlockIters = []int{st.Iterations}
-	if tm != nil {
-		tm.merge(shards)
-		st.Timing = tm
-	}
+	st.Timing.merge(shards)
 	return st, nil
 }
 
@@ -356,18 +347,12 @@ func RunBlocked(h, u, k, g *dense.Matrix, ws *Workspace, cfg Config) (Stats, err
 	if err := checkShapes(h, u, k, g); err != nil {
 		return Stats{}, err
 	}
-	var tm *Timing
-	if cfg.Collect {
-		tm = &Timing{}
-	}
 	cholStart := time.Now()
 	rho, ch, err := prepare(g)
 	if err != nil {
 		return Stats{}, err
 	}
-	if tm != nil {
-		tm.Cholesky = time.Since(cholStart)
-	}
+	cholesky := time.Since(cholStart)
 	op := cfg.prox()
 	eps := cfg.eps()
 	maxIters := cfg.maxIters()
@@ -375,7 +360,7 @@ func RunBlocked(h, u, k, g *dense.Matrix, ws *Workspace, cfg Config) (Stats, err
 
 	nBlocks := (h.Rows + bs - 1) / bs
 	if nBlocks == 0 {
-		return Stats{Blocks: 0, Converged: true, Timing: tm}, nil
+		return Stats{Blocks: 0, Converged: true, Timing: Timing{Cholesky: cholesky}}, nil
 	}
 	threads := min(par.Threads(cfg.Threads), nBlocks)
 	if ws == nil {
@@ -411,7 +396,7 @@ func RunBlocked(h, u, k, g *dense.Matrix, ws *Workspace, cfg Config) (Stats, err
 		bRho, bCh := rho, ch
 		conv := false
 		for it := 1; it <= maxIters; it++ {
-			pn, pd, dn, dd := sh.iterate(tm != nil, hb, ub, kb, ht, h0, op, bRho, bCh)
+			pn, pd, dn, dd := iterate(hb, ub, kb, ht, h0, op, bRho, bCh, &sh.proxNs)
 			iters[b] = it
 			if converged(pn, pd, dn, dd, eps, rows*h.Cols) {
 				conv = true
@@ -433,9 +418,7 @@ func RunBlocked(h, u, k, g *dense.Matrix, ws *Workspace, cfg Config) (Stats, err
 				newRho := bRho * scale
 				refactorStart := time.Now()
 				newCh, _, err := dense.NewCholeskyJitter(dense.AddScaledIdentity(g, newRho), 0, 30)
-				if tm != nil {
-					sh.cholNs += int64(time.Since(refactorStart))
-				}
+				sh.cholNs += int64(time.Since(refactorStart))
 				if err != nil {
 					continue // keep the old penalty; adaptation is best-effort
 				}
@@ -450,11 +433,9 @@ func RunBlocked(h, u, k, g *dense.Matrix, ws *Workspace, cfg Config) (Stats, err
 		sp.End()
 	})
 
-	st := Stats{Blocks: nBlocks, Converged: true, MinIterations: iters[0], BlockIters: iters}
-	if tm != nil {
-		tm.merge(shards)
-		st.Timing = tm
-	}
+	st := Stats{Blocks: nBlocks, Converged: true, MinIterations: iters[0], BlockIters: iters,
+		Timing: Timing{Cholesky: cholesky}}
+	st.Timing.merge(shards)
 	for _, sh := range shards {
 		st.RhoAdaptations += sh.adaptations
 		if sh.unconverged {

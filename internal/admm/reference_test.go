@@ -143,55 +143,53 @@ func requireBitEqual(t *testing.T, what string, got, want *dense.Matrix) {
 // TestSolversMatchPerRowReference pins the four-row strip loop to the
 // per-row formulation: Run and RunBlocked must leave H and U bit-identical
 // to refIterate-driven references and report the same iteration counts, for
-// row counts not divisible by four, with timing collection on or off.
+// row counts not divisible by four.
 func TestSolversMatchPerRowReference(t *testing.T) {
 	var adaptations int64
 	for _, rank := range []int{5, 32} {
 		for _, rows := range []int{1, 7, 103} {
-			for _, collect := range []bool{false, true} {
-				name := fmt.Sprintf("F=%d/rows=%d/collect=%v", rank, rows, collect)
-				h0, u0, k, g := illConditioned(rows, rank, int64(rank*1000+rows))
-				for _, threads := range []int{1, 3} {
-					cfg := Config{Prox: prox.NonNegative{}, Eps: 1e-6, MaxIters: 40, Threads: threads, Collect: collect}
+			name := fmt.Sprintf("F=%d/rows=%d", rank, rows)
+			h0, u0, k, g := illConditioned(rows, rank, int64(rank*1000+rows))
+			for _, threads := range []int{1, 3} {
+				cfg := Config{Prox: prox.NonNegative{}, Eps: 1e-6, MaxIters: 40, Threads: threads}
+				h, u := h0.Clone(), u0.Clone()
+				st, err := Run(h, u, k, g, nil, cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				hRef, uRef := h0.Clone(), u0.Clone()
+				if want := refRun(t, hRef, uRef, k, g, cfg); st.Iterations != want {
+					t.Fatalf("%s Run threads=%d: %d iterations, reference %d", name, threads, st.Iterations, want)
+				}
+				requireBitEqual(t, name+" Run H", h, hRef)
+				requireBitEqual(t, name+" Run U", u, uRef)
+			}
+			for _, bs := range []int{1, 3, 50} {
+				for _, adaptive := range []bool{false, true} {
+					cfg := Config{Prox: prox.NonNegative{}, Eps: 1e-6, MaxIters: 40, Threads: 2,
+						BlockSize: bs, AdaptiveRho: adaptive}
+					label := fmt.Sprintf("%s RunBlocked bs=%d adaptive=%v", name, bs, adaptive)
 					h, u := h0.Clone(), u0.Clone()
-					st, err := Run(h, u, k, g, nil, cfg)
+					st, err := RunBlocked(h, u, k, g, &Workspace{}, cfg)
 					if err != nil {
 						t.Fatal(err)
 					}
 					hRef, uRef := h0.Clone(), u0.Clone()
-					if want := refRun(t, hRef, uRef, k, g, cfg); st.Iterations != want {
-						t.Fatalf("%s Run threads=%d: %d iterations, reference %d", name, threads, st.Iterations, want)
+					wantIters, wantAdapt := refRunBlocked(t, hRef, uRef, k, g, cfg)
+					if !slices.Equal(st.BlockIters, wantIters) || st.RhoAdaptations != wantAdapt {
+						t.Fatalf("%s: block iters %v adaptations %d, reference %v %d",
+							label, st.BlockIters, st.RhoAdaptations, wantIters, wantAdapt)
 					}
-					requireBitEqual(t, name+" Run H", h, hRef)
-					requireBitEqual(t, name+" Run U", u, uRef)
-				}
-				for _, bs := range []int{1, 3, 50} {
-					for _, adaptive := range []bool{false, true} {
-						cfg := Config{Prox: prox.NonNegative{}, Eps: 1e-6, MaxIters: 40, Threads: 2,
-							BlockSize: bs, AdaptiveRho: adaptive, Collect: collect}
-						label := fmt.Sprintf("%s RunBlocked bs=%d adaptive=%v", name, bs, adaptive)
-						h, u := h0.Clone(), u0.Clone()
-						st, err := RunBlocked(h, u, k, g, &Workspace{}, cfg)
-						if err != nil {
-							t.Fatal(err)
-						}
-						hRef, uRef := h0.Clone(), u0.Clone()
-						wantIters, wantAdapt := refRunBlocked(t, hRef, uRef, k, g, cfg)
-						if !slices.Equal(st.BlockIters, wantIters) || st.RhoAdaptations != wantAdapt {
-							t.Fatalf("%s: block iters %v adaptations %d, reference %v %d",
-								label, st.BlockIters, st.RhoAdaptations, wantIters, wantAdapt)
-						}
-						var rowIters int64
-						for b, n := range wantIters {
-							rowIters += int64(n * (min((b+1)*bs, rows) - b*bs))
-						}
-						if st.RowIterations != rowIters || st.Iterations != slices.Max(wantIters) || st.MinIterations != slices.Min(wantIters) {
-							t.Fatalf("%s: stats %+v disagree with reference block iters %v", label, st, wantIters)
-						}
-						requireBitEqual(t, label+" H", h, hRef)
-						requireBitEqual(t, label+" U", u, uRef)
-						adaptations += st.RhoAdaptations
+					var rowIters int64
+					for b, n := range wantIters {
+						rowIters += int64(n * (min((b+1)*bs, rows) - b*bs))
 					}
+					if st.RowIterations != rowIters || st.Iterations != slices.Max(wantIters) || st.MinIterations != slices.Min(wantIters) {
+						t.Fatalf("%s: stats %+v disagree with reference block iters %v", label, st, wantIters)
+					}
+					requireBitEqual(t, label+" H", h, hRef)
+					requireBitEqual(t, label+" U", u, uRef)
+					adaptations += st.RhoAdaptations
 				}
 			}
 		}

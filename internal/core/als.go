@@ -29,9 +29,6 @@ type ALSOptions struct {
 	// MemBudgetBytes echoes the admission layer's budget into Result.OOC
 	// for out-of-core runs (0 = unlimited); not enforced here.
 	MemBudgetBytes int64
-	// CollectMetrics enables fine-grained per-mode kernel timers, scheduler
-	// telemetry, and the density timeline on Result.Metrics.
-	CollectMetrics bool
 	// Ctx, when non-nil, stops the run at the next outer-iteration boundary
 	// once done; the current iterate is returned with Stopped set.
 	Ctx context.Context
@@ -77,8 +74,7 @@ func FactorizeALSOOC(st *ooc.ShardedTensor, opts ALSOptions) (*Result, error) {
 func (o ALSOptions) options() Options {
 	return Options{
 		Rank: o.Rank, MaxOuterIters: o.MaxOuterIters, Tol: o.Tol, Threads: o.Threads,
-		Seed: o.Seed, MemBudgetBytes: o.MemBudgetBytes, CollectMetrics: o.CollectMetrics,
-		Ctx: o.Ctx, OnIteration: o.OnIteration, Tracer: o.Tracer, KernelFormat: o.KernelFormat,
+		Seed: o.Seed, MemBudgetBytes: o.MemBudgetBytes, Ctx: o.Ctx, OnIteration: o.OnIteration, Tracer: o.Tracer, KernelFormat: o.KernelFormat,
 	}
 }
 

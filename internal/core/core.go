@@ -230,14 +230,6 @@ type Options struct {
 	// echoed into Result.OOC and the metrics report so a run's budget and
 	// its tracked peak can be compared after the fact.
 	MemBudgetBytes int64
-	// CollectMetrics enables the fine-grained observability layer: per-mode
-	// kernel timers, per-block ADMM convergence counters, scheduler load
-	// telemetry, and the factor-sparsity timeline, returned in
-	// Result.Metrics. Collection shards per thread and merges at fork-join
-	// barriers, but the inner-loop timing still costs ~10-30% on small
-	// ranks — leave it off outside profiling runs (off, the solvers take
-	// their untimed code paths).
-	CollectMetrics bool
 	// Tracer, when non-nil, records spans into per-thread ring buffers:
 	// outer iterations, per-mode kernels, ADMM blocks, scheduler chunks, and
 	// OOC shard pipeline events, exportable as Chrome trace_event JSON
@@ -313,11 +305,12 @@ type Result struct {
 	InnerIters int
 	// RowIters is the total per-row inner-iteration work (Σ rows·iters).
 	RowIters int64
-	// Breakdown is the per-kernel wall-time split (Fig. 3).
+	// Breakdown is the per-phase wall-time split (Fig. 3), derived from
+	// Metrics' top-level kernel rows.
 	Breakdown *stats.Breakdown
 	// Metrics is the fine-grained observability object (per-mode kernel
 	// timers, ADMM block histogram, scheduler telemetry, sparsity
-	// timeline); nil unless Options.CollectMetrics was set.
+	// timeline), collected on every run.
 	Metrics *stats.Metrics
 	// Trace is the convergence trajectory (Fig. 6).
 	Trace *stats.Trace
@@ -410,7 +403,13 @@ func factorize(p Problem, step func(Options) Step, opts Options) (*Result, error
 	if err := opts.fill(len(p.Dims)); err != nil {
 		return nil, err
 	}
-	return Drive(p, step(opts), opts)
+	// Drive's partial result on error carries metrics only; the entry
+	// points return none.
+	res, err := Drive(p, step(opts), opts)
+	if err != nil {
+		return nil, err
+	}
+	return res, nil
 }
 
 // admmStep is AO-ADMM's mode update (Algorithm 2, lines 6/10/14): the
@@ -431,7 +430,7 @@ func admmStep(opts Options) Step {
 	}
 	return Step{Kernel: stats.KernelADMMInner, Duals: true, Update: func(u ModeUpdate) (admm.Stats, error) {
 		cfg.Prox = opts.Constraints[u.Mode]
-		cfg.Collect, cfg.Telem = u.Metrics != nil, u.Telem
+		cfg.Telem = u.Telem
 		if opts.AutoBlockSize && opts.Variant != Baseline {
 			cfg.BlockSize = blockmodel.DefaultModel().Choose(u.Factor.Rows, opts.Rank, par.Threads(opts.Threads))
 		}
@@ -439,10 +438,8 @@ func admmStep(opts Options) Step {
 		if err != nil {
 			return st, err
 		}
-		if st.Timing != nil {
-			u.Metrics.AddKernel(stats.KernelCholesky, u.Mode, st.Timing.Cholesky)
-			u.Metrics.AddKernel(stats.KernelProx, u.Mode, st.Timing.Prox)
-		}
+		u.Metrics.AddSubKernel(stats.KernelADMMInner, stats.KernelCholesky, u.Mode, st.Timing.Cholesky)
+		u.Metrics.AddSubKernel(stats.KernelADMMInner, stats.KernelProx, u.Mode, st.Timing.Prox)
 		u.Metrics.RecordADMMSolve(st.BlockIters, st.RhoAdaptations)
 		return st, nil
 	}}

@@ -50,7 +50,7 @@ type ModeUpdate struct {
 	Factor, Dual *dense.Matrix
 	K, G         *dense.Matrix
 	// Telem and Metrics are the run's scheduler telemetry and metrics
-	// sinks; nil when observability is off.
+	// sinks.
 	Telem   *par.Telemetry
 	Metrics *stats.Metrics
 }
@@ -66,12 +66,14 @@ type ModeUpdate struct {
 // Drive reads the loop fields of Options: Rank, MaxOuterIters, Tol,
 // Threads, Seed, the warm-restart fields (InitFactors, InitDuals,
 // DualScale, StartIter, PrevRelErr), MaxTime, Ctx, OnIteration, the
-// checkpoint fields, Faults, CollectMetrics, Tracer, and the §IV-C
-// leaf-factor fields (ExploitSparsity, Structure, SparseThreshold,
-// StructureSelector). An engine or step error ends the run with that error,
-// unless Ctx is done by then: a cancellation that aborts a sweep is a stop,
-// and the result holds the partly swept factors with OuterIters and RelErr
-// of the last completed iteration.
+// checkpoint fields, Faults, Tracer, and the §IV-C leaf-factor fields
+// (ExploitSparsity, Structure, SparseThreshold, StructureSelector). Every
+// run collects Result.Metrics; Result.Breakdown is derived from its
+// top-level kernel rows. An engine or step error ends the run with that
+// error and a result holding the metrics gathered so far, unless Ctx is
+// done by then: a cancellation that aborts a sweep is a stop, and the
+// result holds the partly swept factors with OuterIters and RelErr of the
+// last completed iteration.
 func Drive(p Problem, step Step, opts Options) (*Result, error) {
 	order := len(p.Dims)
 	if opts.Rank <= 0 {
@@ -81,24 +83,16 @@ func Drive(p Problem, step Step, opts Options) (*Result, error) {
 		return nil, fmt.Errorf("core: DualScale must be in (0, 1], got %g", opts.DualScale)
 	}
 
-	bd := stats.NewBreakdown()
 	tr := opts.Tracer
-	var met *stats.Metrics
-	var tel *par.Telemetry
-	if opts.CollectMetrics {
-		met = stats.NewMetrics()
-	}
-	if opts.CollectMetrics || tr != nil {
-		// Telemetry is also the tracer's carrier into the fork-join regions,
-		// so tracing alone turns the timed scheduler paths on.
-		tel = par.NewTelemetry(par.Threads(opts.Threads))
-		tel.SetTracer(tr)
-	}
+	met := stats.NewMetrics()
+	// Telemetry is also the tracer's carrier into the fork-join regions.
+	tel := par.NewTelemetry(par.Threads(opts.Threads))
+	tel.SetTracer(tr)
 	start := time.Now()
 
 	var eng Engine
 	var buildErr error
-	timedKernel(tr, bd, stats.PhaseSetup, met, stats.KernelCSFSetup, stats.ModeNone, func() {
+	timedKernel(tr, met, stats.KernelCSFSetup, stats.ModeNone, func() {
 		eng, buildErr = p.Build()
 	})
 	if buildErr != nil {
@@ -149,7 +143,6 @@ func Drive(p Problem, step Step, opts Options) (*Result, error) {
 	res := &Result{
 		Factors:    model,
 		Duals:      duals,
-		Breakdown:  bd,
 		Metrics:    met,
 		Trace:      &stats.Trace{},
 		RelErr:     1,
@@ -166,7 +159,7 @@ func Drive(p Problem, step Step, opts Options) (*Result, error) {
 	sweep := func(outer int) (lastK *dense.Matrix, lastMode, inner int, err error) {
 		for m := 0; m < order; m++ {
 			var g *dense.Matrix
-			timedKernel(tr, bd, stats.PhaseOther, met, stats.KernelGram, m, func() {
+			timedKernel(tr, met, stats.KernelGramProduct, m, func() {
 				g = gramProduct(grams, m)
 			})
 
@@ -175,7 +168,7 @@ func Drive(p Problem, step Step, opts Options) (*Result, error) {
 			// serve this kernel, and the paper's Table II times include the
 			// conversion overhead.
 			k := kmat.RowBlock(0, p.Dims[m])
-			timedKernel(tr, bd, stats.PhaseMTTKRP, met, stats.KernelMTTKRP, m, func() {
+			timedKernel(tr, met, stats.KernelMTTKRP, m, func() {
 				withKernelLabels("mttkrp", m, func() {
 					leaf := leafFor(opts, eng.LeafTree(m), model, versions, images, res)
 					err = eng.MTTKRP(m, model.Factors, k, leaf,
@@ -191,7 +184,7 @@ func Drive(p Problem, step Step, opts Options) (*Result, error) {
 				u.Dual = duals[m]
 			}
 			var st admm.Stats
-			timedKernel(tr, bd, stats.PhaseADMM, met, step.Kernel, m, func() {
+			timedKernel(tr, met, step.Kernel, m, func() {
 				withKernelLabels(string(step.Kernel), m, func() { st, err = step.Update(u) })
 			})
 			if err != nil {
@@ -201,7 +194,7 @@ func Drive(p Problem, step Step, opts Options) (*Result, error) {
 			inner += st.Iterations
 			res.RowIters += st.RowIterations
 
-			timedKernel(tr, bd, stats.PhaseOther, met, stats.KernelGram, m, func() {
+			timedKernel(tr, met, stats.KernelGram, m, func() {
 				grams[m] = dense.Gram(model.Factors[m], opts.Threads)
 			})
 			lastK, lastMode = k, m
@@ -221,13 +214,14 @@ func Drive(p Problem, step Step, opts Options) (*Result, error) {
 				res.Stopped = true
 				break
 			}
-			return nil, err
+			res.Breakdown = met.Breakdown()
+			return res, err
 		}
 		res.OuterIters = outer
 		res.InnerIters += iterInner
 
 		var relErr float64
-		timedKernel(tr, bd, stats.PhaseOther, met, stats.KernelFit, stats.ModeNone, func() {
+		timedKernel(tr, met, stats.KernelFit, stats.ModeNone, func() {
 			inner := kruskal.InnerWithMTTKRP(lastK, model.Factors[lastMode])
 			relErr = kruskal.RelErr(p.NormSq, inner, kruskal.NormSqFromGrams(grams))
 		})
@@ -235,13 +229,10 @@ func Drive(p Problem, step Step, opts Options) (*Result, error) {
 
 		// Factor-sparsity timeline: density per mode after this outer
 		// iteration, plus the structure of the mode's current MTTKRP image
-		// (DENSE when no compressed image is live). The density scan is
-		// metrics-only cost, comparable to one Gram pass per mode.
-		if met != nil {
-			for m := 0; m < order; m++ {
-				met.RecordDensity(outer, m, dense.Density(model.Factors[m], 0),
-					structureLabel(images[m].leaf))
-			}
+		// (DENSE when no compressed image is live).
+		for m := 0; m < order; m++ {
+			met.RecordDensity(outer, m, dense.Density(model.Factors[m], 0),
+				structureLabel(images[m].leaf))
 		}
 
 		point := stats.TracePoint{
@@ -278,7 +269,11 @@ func Drive(p Problem, step Step, opts Options) (*Result, error) {
 	for m := 0; m < order; m++ {
 		res.FactorDensities[m] = dense.Density(model.Factors[m], 0)
 	}
-	recordScheduler(met, tel)
+	for t := 0; t < tel.NumThreads(); t++ {
+		s := tel.Stat(t)
+		met.RecordSchedulerThread(t, s.Chunks, s.Busy)
+	}
+	res.Breakdown = met.Breakdown()
 	res.KernelBackends = backendNames(eng, order)
 	met.SetBackends(res.KernelBackends)
 	if r := eng.OOCReport(); r != nil {
@@ -317,17 +312,5 @@ func stopRequested(ctx context.Context) bool {
 		return true
 	default:
 		return false
-	}
-}
-
-// recordScheduler folds the run's accumulated per-thread dispatch counters
-// into the metrics object (called once, after the last barrier).
-func recordScheduler(met *stats.Metrics, tel *par.Telemetry) {
-	if met == nil || tel == nil {
-		return
-	}
-	for t := 0; t < tel.NumThreads(); t++ {
-		s := tel.Stat(t)
-		met.RecordSchedulerThread(t, s.Chunks, s.Busy)
 	}
 }

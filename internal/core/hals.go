@@ -23,9 +23,6 @@ type HALSOptions struct {
 	Threads int
 	// Seed drives factor initialization.
 	Seed int64
-	// CollectMetrics enables fine-grained per-mode kernel timers, scheduler
-	// telemetry, and the density timeline on Result.Metrics.
-	CollectMetrics bool
 	// Ctx, when non-nil, stops the run at the next outer-iteration boundary
 	// once done; the current iterate is returned with Stopped set.
 	Ctx context.Context
@@ -60,7 +57,7 @@ func FactorizeHALS(x *tensor.COO, opts HALSOptions) (*Result, error) {
 	}
 	return factorize(p, halsStep, Options{
 		Rank: opts.Rank, MaxOuterIters: opts.MaxOuterIters, Tol: opts.Tol, Threads: opts.Threads,
-		Seed: opts.Seed, CollectMetrics: opts.CollectMetrics, Ctx: opts.Ctx,
+		Seed: opts.Seed, Ctx: opts.Ctx,
 		OnIteration: opts.OnIteration, Tracer: opts.Tracer, KernelFormat: opts.KernelFormat,
 	})
 }

@@ -1,7 +1,9 @@
 package core
 
 import (
+	"strconv"
 	"testing"
+	"time"
 
 	"aoadmm/internal/prox"
 	"aoadmm/internal/stats"
@@ -21,21 +23,20 @@ func TestFactorizeCollectMetrics(t *testing.T) {
 		ExploitSparsity: true,
 		AdaptiveRho:     true,
 		Seed:            1,
-		CollectMetrics:  true,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.Metrics == nil {
-		t.Fatal("CollectMetrics did not populate Result.Metrics")
+		t.Fatal("Result.Metrics not populated")
 	}
 	rep := res.Metrics.Report()
 	if rep.Schema != stats.MetricsSchema {
 		t.Fatalf("schema %q", rep.Schema)
 	}
 
-	// Per-mode kernels: mttkrp, gram, admm_inner, cholesky, and prox must
-	// appear for every mode; csf_setup and fit are modeless.
+	// Per-mode kernels: mttkrp, gram_product, gram, admm_inner, cholesky,
+	// and prox must appear for every mode; csf_setup and fit are modeless.
 	order := x.Order()
 	seen := map[string]map[int]bool{}
 	for _, k := range rep.Kernels {
@@ -47,7 +48,7 @@ func TestFactorizeCollectMetrics(t *testing.T) {
 		}
 		seen[k.Kernel][k.Mode] = true
 	}
-	for _, kernel := range []string{"mttkrp", "gram", "admm_inner", "cholesky", "prox"} {
+	for _, kernel := range []string{"mttkrp", "gram_product", "gram", "admm_inner", "cholesky", "prox"} {
 		for m := 0; m < order; m++ {
 			if !seen[kernel][m] {
 				t.Errorf("kernel %s missing mode %d (have %v)", kernel, m, seen[kernel])
@@ -109,48 +110,10 @@ func TestFactorizeCollectMetrics(t *testing.T) {
 	}
 }
 
-// Metrics must default off with no Result footprint.
-func TestFactorizeMetricsDisabledByDefault(t *testing.T) {
-	x := testTensor(t, 142)
-	res, err := Factorize(x, Options{
-		Rank: 4, Constraints: []prox.Operator{prox.NonNegative{}},
-		MaxOuterIters: 3, Seed: 1,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Metrics != nil {
-		t.Fatal("Metrics populated without CollectMetrics")
-	}
-}
-
-// Enabling metrics must not change the solve path's numerics.
-func TestFactorizeMetricsDoNotPerturbResult(t *testing.T) {
-	x := testTensor(t, 143)
-	opts := Options{
-		Rank: 4, Constraints: []prox.Operator{prox.NonNegative{}},
-		MaxOuterIters: 5, Threads: 2, Seed: 1, AdaptiveRho: true,
-	}
-	plain, err := Factorize(x, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	opts.CollectMetrics = true
-	collected, err := Factorize(x, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if plain.RelErr != collected.RelErr || plain.OuterIters != collected.OuterIters {
-		t.Fatalf("metrics changed the result: relerr %v vs %v, outer %d vs %d",
-			plain.RelErr, collected.RelErr, plain.OuterIters, collected.OuterIters)
-	}
-}
-
 func TestALSCollectMetrics(t *testing.T) {
 	x := testTensor(t, 144)
 	res, err := FactorizeALS(x, ALSOptions{
 		Rank: 4, MaxOuterIters: 4, Threads: 2, Seed: 1, Ridge: 1e-10,
-		CollectMetrics: true,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -171,7 +134,6 @@ func TestHALSCollectMetrics(t *testing.T) {
 	x := testTensor(t, 145)
 	res, err := FactorizeHALS(x, HALSOptions{
 		Rank: 4, MaxOuterIters: 4, Threads: 2, Seed: 1,
-		CollectMetrics: true,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -189,5 +151,66 @@ func TestHALSCollectMetrics(t *testing.T) {
 	if len(rep.Sparsity) == 0 || len(rep.Scheduler.Threads) == 0 {
 		t.Fatalf("HALS metrics incomplete: %d sparsity, %d threads",
 			len(rep.Sparsity), len(rep.Scheduler.Threads))
+	}
+}
+
+// TestBreakdownIsTopLevelKernelSum pins the one-stream contract on every
+// entry-point family: per phase, Result.Breakdown is exactly the sum of the
+// report's parent-less kernel rows, and every nested row names a row of
+// its own mode as parent.
+func TestBreakdownIsTopLevelKernelSum(t *testing.T) {
+	x := testTensor(t, 146)
+	st, _ := shardedFor(t, x)
+	admmOpts := Options{
+		Rank: 4, Constraints: []prox.Operator{prox.NonNegative{}}, Variant: Blocked,
+		MaxOuterIters: 4, Threads: 2, Seed: 1, AdaptiveRho: true,
+	}
+	cases := []struct {
+		name  string
+		solve func() (*Result, error)
+	}{
+		{"blocked-admm", func() (*Result, error) { return Factorize(x, admmOpts) }},
+		{"als", func() (*Result, error) {
+			return FactorizeALS(x, ALSOptions{Rank: 4, MaxOuterIters: 4, Threads: 2, Seed: 1, Ridge: 1e-10})
+		}},
+		{"hals", func() (*Result, error) {
+			return FactorizeHALS(x, HALSOptions{Rank: 4, MaxOuterIters: 4, Threads: 2, Seed: 1})
+		}},
+		{"ooc-admm", func() (*Result, error) { return FactorizeOOC(st, admmOpts) }},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			res, err := tc.solve()
+			if err != nil {
+				t.Fatal(err)
+			}
+			rep := res.Metrics.Report()
+			want := map[stats.Phase]time.Duration{}
+			rows := map[string]bool{}
+			for _, kt := range rep.Kernels {
+				if kt.Parent == "" {
+					want[stats.Kernel(kt.Kernel).Phase()] += kt.Duration
+					rows[kt.Kernel+"/"+strconv.Itoa(kt.Mode)] = true
+				}
+			}
+			for _, p := range []stats.Phase{stats.PhaseSetup, stats.PhaseMTTKRP, stats.PhaseADMM, stats.PhaseOther} {
+				if got := res.Breakdown.Get(p); got != want[p] || got <= 0 {
+					t.Errorf("phase %s: breakdown %v, top-level rows sum to %v", p, got, want[p])
+				}
+			}
+			for _, kt := range rep.Kernels {
+				wantUnit := stats.UnitWall
+				if kt.Parent != "" {
+					wantUnit = stats.UnitCPU
+					if !rows[kt.Parent+"/"+strconv.Itoa(kt.Mode)] {
+						t.Errorf("row %s mode %d names parent %q, which has no row of that mode",
+							kt.Kernel, kt.Mode, kt.Parent)
+					}
+				}
+				if kt.Unit != wantUnit {
+					t.Errorf("row %s mode %d parent %q has unit %q, want %q", kt.Kernel, kt.Mode, kt.Parent, kt.Unit, wantUnit)
+				}
+			}
+		})
 	}
 }

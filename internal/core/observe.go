@@ -12,16 +12,14 @@ import (
 	"aoadmm/internal/stats"
 )
 
-// timedKernel runs fn, charging its wall time to the coarse four-bucket
-// breakdown (phase p, the paper's Fig. 3 granularity), to the fine per-mode
-// kernel k when metrics collection is on, and to a "kernel" span on the
-// driver's trace ring when tracing is on. One clock pair serves all three;
-// met and tr are nil-safe, so disabled runs pay two nil checks.
-func timedKernel(tr *obs.Tracer, bd *stats.Breakdown, p stats.Phase, met *stats.Metrics, k stats.Kernel, mode int, fn func()) {
+// timedKernel runs fn, charging its wall time to top-level kernel k of the
+// given mode in the run's metrics and to a "kernel" span on the driver's
+// trace ring when tracing is on (tr is nil-safe). One clock pair serves
+// both.
+func timedKernel(tr *obs.Tracer, met *stats.Metrics, k stats.Kernel, mode int, fn func()) {
 	start := time.Now()
 	fn()
 	d := time.Since(start)
-	bd.Add(p, d)
 	met.AddKernel(k, mode, d)
 	tr.Emit("kernel", string(k), mode, obs.TIDDriver, -1, start, d)
 }

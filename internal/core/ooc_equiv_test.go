@@ -65,7 +65,6 @@ func TestFactorizeOOCMatchesInMemory(t *testing.T) {
 				t.Fatalf("Factorize: %v", err)
 			}
 			opts.MemBudgetBytes = budget
-			opts.CollectMetrics = true
 			oocRes, err := FactorizeOOC(st, opts)
 			if err != nil {
 				t.Fatalf("FactorizeOOC: %v", err)

@@ -580,6 +580,10 @@ type JobResult struct {
 	// Workers that died mid-job, and jobs that end by context
 	// cancellation, lose their worker-side spans.
 	Trace []obs.ProcessTrace
+	// Metrics is the coordinator's aoadmm-metrics/v1 collector: the
+	// driver's kernel rows and sparsity timeline of every epoch, aborted
+	// ones included, merged.
+	Metrics *stats.Metrics
 }
 
 // maxJobEpochs bounds recovery attempts so a pathological environment
@@ -680,7 +684,7 @@ func (c *Coordinator) RunJob(opts JobOptions) (*JobResult, error) {
 	defer syncComm()
 	wireSent0, wireRecv0 := c.wireSent.Load(), c.wireRecv.Load()
 
-	res := &JobResult{}
+	res := &JobResult{Metrics: stats.NewMetrics()}
 	finish := func() (*JobResult, error) {
 		res.Factors = model
 		res.Duals = duals
@@ -759,6 +763,9 @@ func (c *Coordinator) RunJob(opts JobOptions) (*JobResult, error) {
 				return !userStop
 			},
 		})
+		if r != nil {
+			res.Metrics.Merge(r.Metrics)
+		}
 		if runErr == nil {
 			model, duals = r.Factors, r.Duals
 			res.RelErr, res.OuterIters, res.Converged = r.RelErr, r.OuterIters, r.Converged

@@ -37,7 +37,6 @@ func Profile(cfg Config, path string) error {
 			ExploitSparsity: true,
 			AdaptiveRho:     true,
 			Seed:            1,
-			CollectMetrics:  true,
 		})
 		if err != nil {
 			return fmt.Errorf("profile %s: %w", name, err)

@@ -14,7 +14,6 @@ import (
 	"runtime"
 	"sync"
 	"sync/atomic"
-	"time"
 )
 
 // Threads normalizes a requested thread count: values <= 0 mean "use
@@ -93,15 +92,7 @@ func StaticT(tel *Telemetry, n, nThreads int, fn func(tid, begin, end int)) {
 	Do(nThreads, func(tid int) {
 		begin, end := Span(n, nThreads, tid)
 		if begin < end {
-			if tel != nil {
-				start := time.Now()
-				fn(tid, begin, end)
-				d := time.Since(start)
-				tel.add(tid, d)
-				tel.tracer.Emit("sched", "chunk", -1, tid, int64(end-begin), start, d)
-			} else {
-				fn(tid, begin, end)
-			}
+			tel.run(tid, begin, end, fn)
 		}
 	})
 }
@@ -153,15 +144,7 @@ func DynamicT(tel *Telemetry, n, chunk, nThreads int, fn func(tid, begin, end in
 	if nThreads == 1 {
 		for b := 0; b < n; b += chunk {
 			e := min(b+chunk, n)
-			if tel != nil {
-				start := time.Now()
-				fn(0, b, e)
-				d := time.Since(start)
-				tel.add(0, d)
-				tel.tracer.Emit("sched", "chunk", -1, 0, int64(e-b), start, d)
-			} else {
-				fn(0, b, e)
-			}
+			tel.run(0, b, e, fn)
 		}
 		return
 	}
@@ -173,15 +156,7 @@ func DynamicT(tel *Telemetry, n, chunk, nThreads int, fn func(tid, begin, end in
 				return
 			}
 			e := min(b+chunk, n)
-			if tel != nil {
-				start := time.Now()
-				fn(tid, b, e)
-				d := time.Since(start)
-				tel.add(tid, d)
-				tel.tracer.Emit("sched", "chunk", -1, tid, int64(e-b), start, d)
-			} else {
-				fn(tid, b, e)
-			}
+			tel.run(tid, b, e, fn)
 		}
 	})
 }
@@ -210,15 +185,7 @@ func CyclicT(tel *Telemetry, n, chunk, nThreads int, fn func(tid, begin, end int
 		for c := tid; c < nChunks; c += nThreads {
 			b := c * chunk
 			e := min(b+chunk, n)
-			if tel != nil {
-				start := time.Now()
-				fn(tid, b, e)
-				d := time.Since(start)
-				tel.add(tid, d)
-				tel.tracer.Emit("sched", "chunk", -1, tid, int64(e-b), start, d)
-			} else {
-				fn(tid, b, e)
-			}
+			tel.run(tid, b, e, fn)
 		}
 	})
 }

@@ -78,34 +78,6 @@ func (t *Telemetry) Stat(tid int) ThreadStat {
 	return ThreadStat{Chunks: s.chunks, Busy: time.Duration(s.busyNs)}
 }
 
-// Imbalance returns the load-imbalance ratio max(busy)/mean(busy) over the
-// threads that claimed at least one chunk: 1 means perfectly balanced, 2
-// means the slowest worker was busy twice the average. Returns 0 when no
-// work has been recorded.
-func (t *Telemetry) Imbalance() float64 {
-	if t == nil {
-		return 0
-	}
-	var total, maxBusy int64
-	active := 0
-	for i := range t.slots {
-		s := &t.slots[i]
-		if s.chunks == 0 {
-			continue
-		}
-		active++
-		total += s.busyNs
-		if s.busyNs > maxBusy {
-			maxBusy = s.busyNs
-		}
-	}
-	if active == 0 || total == 0 {
-		return 0
-	}
-	mean := float64(total) / float64(active)
-	return float64(maxBusy) / mean
-}
-
 // grow widens the slot array to at least n tids (called before workers fork,
 // never concurrently with them).
 func (t *Telemetry) grow(n int) {
@@ -116,10 +88,20 @@ func (t *Telemetry) grow(n int) {
 	}
 }
 
-// add records one executed chunk for tid. Called only from the worker that
-// owns tid, between fork and join.
-func (t *Telemetry) add(tid int, busy time.Duration) {
+// run executes fn(tid, begin, end) as one chunk of tid. On a non-nil
+// Telemetry it counts the chunk, adds its execution time to tid's busy time
+// and traces it; on nil it costs one predictable branch. Called only from
+// the worker that owns tid, between fork and join.
+func (t *Telemetry) run(tid, begin, end int, fn func(tid, begin, end int)) {
+	if t == nil {
+		fn(tid, begin, end)
+		return
+	}
+	start := time.Now()
+	fn(tid, begin, end)
+	d := time.Since(start)
+	t.tracer.Emit("sched", "chunk", -1, tid, int64(end-begin), start, d)
 	s := &t.slots[tid]
 	s.chunks++
-	s.busyNs += int64(busy)
+	s.busyNs += int64(d)
 }

@@ -4,6 +4,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"aoadmm/internal/stats"
 )
 
 // Dynamic must not fork more workers than there are chunks: with n=10 and
@@ -98,9 +100,6 @@ func TestTelemetryCountsChunks(t *testing.T) {
 	if busy <= 0 {
 		t.Fatalf("telemetry busy time %v, want > 0", busy)
 	}
-	if r := tel.Imbalance(); r < 1 {
-		t.Fatalf("imbalance ratio %v, want >= 1", r)
-	}
 }
 
 func TestTelemetryStaticAndItems(t *testing.T) {
@@ -122,9 +121,6 @@ func TestTelemetryNilSafe(t *testing.T) {
 	if tel.NumThreads() != 0 {
 		t.Fatal("nil NumThreads != 0")
 	}
-	if tel.Imbalance() != 0 {
-		t.Fatal("nil Imbalance != 0")
-	}
 	var count atomic.Int64
 	DynamicT(nil, 10, 3, 2, func(tid, b, e int) { count.Add(int64(e - b)) })
 	StaticT(nil, 10, 2, func(tid, b, e int) { count.Add(int64(e - b)) })
@@ -135,13 +131,19 @@ func TestTelemetryNilSafe(t *testing.T) {
 }
 
 func TestTelemetryImbalanceIgnoresIdleThreads(t *testing.T) {
-	// One chunk, many threads: only one slot claims work, so the ratio over
-	// working threads must be exactly 1 (idle slots excluded from the mean).
+	// One chunk, many threads: only one slot claims work, so the ratio the
+	// metrics report computes over working threads must be exactly 1 (idle
+	// slots excluded from the mean).
 	tel := NewTelemetry(8)
 	DynamicT(tel, 4, 10, 8, func(tid, b, e int) {
 		time.Sleep(time.Millisecond)
 	})
-	if r := tel.Imbalance(); r != 1 {
+	met := stats.NewMetrics()
+	for tid := 0; tid < tel.NumThreads(); tid++ {
+		s := tel.Stat(tid)
+		met.RecordSchedulerThread(tid, s.Chunks, s.Busy)
+	}
+	if r := met.Report().Scheduler.ImbalanceRatio; r != 1 {
 		t.Fatalf("single-worker imbalance = %v, want exactly 1", r)
 	}
 }

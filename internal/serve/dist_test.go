@@ -2,18 +2,21 @@ package serve
 
 import (
 	"context"
+	"fmt"
 	"io"
 	"math"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
 
 	"aoadmm/internal/distnet"
 	"aoadmm/internal/ooc"
+	"aoadmm/internal/stats"
 	"aoadmm/internal/tensor"
 )
 
@@ -242,5 +245,61 @@ func TestServeDistRejectedWithoutCoordinator(t *testing.T) {
 	}
 	if !strings.Contains(sb.String(), "aoadmm_dist_workers_live 0") {
 		t.Error("standalone exposition missing zeroed aoadmm_dist_workers_live")
+	}
+}
+
+// TestServeDistributedJobReport checks that a distributed job leaves the
+// same aoadmm-metrics/v1 report as a single-node one: the coordinator's
+// per-mode mttkrp and admm_inner rows reach /metrics and the Prometheus
+// kernel totals.
+func TestServeDistributedJobReport(t *testing.T) {
+	_, ts, _ := startDistServer(t, 2)
+	shardDir, _ := distTestShards(t, []int{40, 40, 40}, 2000, 44)
+	spec := JobSpec{
+		TensorPath: shardDir, Rank: 3, Constraint: "nonneg", MaxOuterIters: 3, Tol: 1e-300,
+		Threads: 1, Seed: 1, BlockSize: 10, DistWorkers: 2, Name: "dist-report",
+	}
+	var v JobView
+	if code, raw := doJSON(t, http.MethodPost, ts.URL+"/jobs", spec, &v); code != http.StatusAccepted {
+		t.Fatalf("submit: %d %s", code, raw)
+	}
+	pollJob(t, ts.URL, v.ID, JobDone, 60*time.Second)
+
+	var metrics struct {
+		Jobs map[string]stats.Report `json:"jobs"`
+	}
+	if code, raw := doJSON(t, http.MethodGet, ts.URL+"/metrics", nil, &metrics); code != http.StatusOK {
+		t.Fatalf("metrics: %d %s", code, raw)
+	}
+	rep, ok := metrics.Jobs[v.ID]
+	if !ok || rep.Schema != stats.MetricsSchema {
+		t.Fatalf("distributed job %s has no report in /metrics: %+v", v.ID, metrics.Jobs)
+	}
+	seen := map[string]bool{}
+	for _, kt := range rep.Kernels {
+		if kt.Calls > 0 {
+			seen[kt.Kernel+"/"+strconv.Itoa(kt.Mode)] = true
+		}
+	}
+
+	resp, err := http.Get(ts.URL + "/metrics?format=prometheus")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	body, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, kernel := range []string{"mttkrp", "admm_inner"} {
+		for m := 0; m < 3; m++ {
+			if !seen[kernel+"/"+strconv.Itoa(m)] {
+				t.Errorf("report lacks a %s row for mode %d: %+v", kernel, m, rep.Kernels)
+			}
+			series := fmt.Sprintf("aoadmm_kernel_seconds_total{kernel=%q,mode=\"%d\"}", kernel, m)
+			if !strings.Contains(string(body), series) {
+				t.Errorf("prometheus exposition missing %s", series)
+			}
+		}
 	}
 }

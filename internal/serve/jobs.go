@@ -89,9 +89,11 @@ type JobSpec struct {
 	// (cost-model selection per tensor, or per shard when out-of-core).
 	// In-process solvers only; distributed workers pick their own format.
 	Format string `json:"format,omitempty"`
-	// CollectMetrics records an aoadmm-metrics/v1 report served at /metrics
-	// once the job finishes. Defaults to true; set to false explicitly to
-	// skip the ~10-30% collection overhead.
+	// CollectMetrics is deprecated and has no effect: every job records an
+	// aoadmm-metrics/v1 report, served at /metrics once it finishes (the
+	// collection's cost is within the run-to-run noise of a solve; see
+	// docs/TUNING.md). The field stays so existing clients are not rejected
+	// by the strict decoder.
 	CollectMetrics *bool `json:"collect_metrics,omitempty"`
 	// CheckpointEvery is the checkpoint interval in outer iterations
 	// (default 5). Checkpoints make cancellation, daemon shutdown, and crash
@@ -125,8 +127,6 @@ type JobSpec struct {
 	// block_size, checkpoint_every, and timeout_sec still override.
 	RefitModelID string `json:"refit_model_id,omitempty"`
 }
-
-func (s *JobSpec) collectMetrics() bool { return s.CollectMetrics == nil || *s.CollectMetrics }
 
 // validate rejects specs that can never run. Input-dependent failures
 // (unreadable tensor file, solver errors) surface when the job runs.
@@ -1069,9 +1069,7 @@ func (m *Manager) runJob(job *Job) {
 	if res.CheckpointErr != nil {
 		job.ckptErr = res.CheckpointErr.Error()
 	}
-	if spec.collectMetrics() {
-		job.report = res.Metrics.Report()
-	}
+	job.report = res.Metrics.Report()
 	ckpt := m.checkpointDir(job.id)
 	if res.Stopped {
 		job.status = JobCanceled
@@ -1278,8 +1276,7 @@ func (m *Manager) runSolver(ctx context.Context, jobID string, attempt int, spec
 		alsOpts := core.ALSOptions{
 			Rank: spec.Rank, MaxOuterIters: spec.MaxOuterIters, Tol: spec.Tol,
 			Threads: spec.Threads, Seed: spec.Seed, Ridge: 1e-10,
-			MemBudgetBytes: spec.MemBudgetMB << 20,
-			CollectMetrics: spec.collectMetrics(), Ctx: ctx,
+			MemBudgetBytes: spec.MemBudgetMB << 20, Ctx: ctx,
 			OnIteration: publish, KernelFormat: spec.Format,
 		}
 		if sharded != nil {
@@ -1292,8 +1289,7 @@ func (m *Manager) runSolver(ctx context.Context, jobID string, attempt int, spec
 		}
 		return core.FactorizeHALS(x, core.HALSOptions{
 			Rank: spec.Rank, MaxOuterIters: spec.MaxOuterIters, Tol: spec.Tol,
-			Threads: spec.Threads, Seed: spec.Seed,
-			CollectMetrics: spec.collectMetrics(), Ctx: ctx,
+			Threads: spec.Threads, Seed: spec.Seed, Ctx: ctx,
 			OnIteration: publish, KernelFormat: spec.Format,
 		})
 	default:
@@ -1307,7 +1303,6 @@ func (m *Manager) runSolver(ctx context.Context, jobID string, attempt int, spec
 			AdaptiveRho:       spec.AdaptiveRho,
 			KernelFormat:      spec.Format,
 			MemBudgetBytes:    spec.MemBudgetMB << 20,
-			CollectMetrics:    spec.collectMetrics(),
 			CheckpointDir:     m.checkpointDir(jobID),
 			CheckpointEvery:   every,
 			CheckpointJobID:   jobID,
@@ -1411,6 +1406,7 @@ func (m *Manager) runDistSolver(ctx context.Context, jobID string, spec JobSpec,
 		Converged:     res.Converged,
 		Stopped:       res.Stopped,
 		CheckpointErr: res.CheckpointErr,
+		Metrics:       res.Metrics,
 	}, nil
 }
 
@@ -1602,7 +1598,6 @@ func (m *Manager) executeRefit(ctx context.Context, jobID string, attempt int, s
 		AdaptiveRho:       src.AdaptiveRho,
 		KernelFormat:      format,
 		MemBudgetBytes:    spec.MemBudgetMB << 20,
-		CollectMetrics:    spec.collectMetrics(),
 		CheckpointDir:     m.checkpointDir(jobID),
 		CheckpointEvery:   every,
 		CheckpointJobID:   jobID,

@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"aoadmm/internal/obs"
+	"aoadmm/internal/stats"
 )
 
 // slowBody is a request body that stalls for delay before reporting EOF, so
@@ -164,6 +165,7 @@ func TestPrometheusExposition(t *testing.T) {
 		"aoadmm_queries_total",
 		"aoadmm_query_latency_seconds_count",
 		"aoadmm_kernel_seconds_total{kernel=\"mttkrp\",mode=\"0\"}",
+		"aoadmm_kernel_seconds_total{kernel=\"prox\",mode=\"0\",parent=\"admm_inner\"}",
 		"aoadmm_admm_solves_total",
 		"aoadmm_admm_inner_iterations_bucket{le=\"+Inf\"}",
 		"aoadmm_journal_appends_total",
@@ -312,5 +314,33 @@ func TestProgressReplayAfterDone(t *testing.T) {
 	}
 	if !sawFinal {
 		t.Fatal("replay missing terminal status line")
+	}
+}
+
+// TestCollectMetricsFalseStillReports submits a job carrying the deprecated
+// "collect_metrics": false: the strict decoder still accepts it, and the
+// job still leaves its aoadmm-metrics/v1 report in /metrics.
+func TestCollectMetricsFalseStillReports(t *testing.T) {
+	_, ts := newTestServer(t, t.TempDir())
+	path := testTNS(t, []int{20, 15, 10}, 800, 8)
+	var submitted JobView
+	code, raw := doJSON(t, http.MethodPost, ts.URL+"/jobs", map[string]any{
+		"tensor_path": path, "rank": 3, "constraint": "nonneg",
+		"max_outer": 4, "seed": 1, "collect_metrics": false,
+	}, &submitted)
+	if code != http.StatusAccepted {
+		t.Fatalf("submit: %d %s", code, raw)
+	}
+	pollJob(t, ts.URL, submitted.ID, JobDone, 30*time.Second)
+
+	var metrics struct {
+		Jobs map[string]stats.Report `json:"jobs"`
+	}
+	if code, raw := doJSON(t, http.MethodGet, ts.URL+"/metrics", nil, &metrics); code != http.StatusOK {
+		t.Fatalf("metrics: %d %s", code, raw)
+	}
+	rep, ok := metrics.Jobs[submitted.ID]
+	if !ok || rep.Schema != stats.MetricsSchema || len(rep.Kernels) == 0 {
+		t.Fatalf("job %s has no report: %+v", submitted.ID, metrics.Jobs)
 	}
 }

@@ -256,12 +256,13 @@ func (s *Server) promDist(reg *obs.Registry) {
 }
 
 // promKernels aggregates every finished job's aoadmm-metrics/v1 report into
-// per-(kernel, mode) time/call totals, daemon-wide ADMM counters, and the
-// merged inner-iteration histogram.
+// per-(kernel, mode, parent) time/call totals, daemon-wide ADMM counters,
+// and the merged inner-iteration histogram.
 func (s *Server) promKernels(reg *obs.Registry) {
 	type key struct {
 		kernel string
 		mode   int
+		parent string
 	}
 	secs := map[key]float64{}
 	calls := map[key]int64{}
@@ -270,7 +271,7 @@ func (s *Server) promKernels(reg *obs.Registry) {
 	var solves, blocks, rhoAdapt int64
 	for _, rep := range s.mgr.Reports() {
 		for _, kt := range rep.Kernels {
-			k := key{kt.Kernel, kt.Mode}
+			k := key{kt.Kernel, kt.Mode, kt.Parent}
 			secs[k] += kt.Seconds
 			calls[k] += kt.Calls
 		}
@@ -295,12 +296,18 @@ func (s *Server) promKernels(reg *obs.Registry) {
 		if keys[i].kernel != keys[j].kernel {
 			return keys[i].kernel < keys[j].kernel
 		}
-		return keys[i].mode < keys[j].mode
+		if keys[i].mode != keys[j].mode {
+			return keys[i].mode < keys[j].mode
+		}
+		return keys[i].parent < keys[j].parent
 	})
 	for _, k := range keys {
 		labels := []obs.Label{obs.L("kernel", k.kernel), obs.L("mode", strconv.Itoa(k.mode))}
+		if k.parent != "" {
+			labels = append(labels, obs.L("parent", k.parent))
+		}
 		reg.CounterVal("aoadmm_kernel_seconds_total",
-			"Accumulated kernel wall time across finished jobs, per kernel per mode (mode -1 = not mode-attributable).",
+			"Accumulated kernel seconds across finished jobs, per kernel per mode (mode -1 = not mode-attributable): wall time, or thread-summed CPU time for a row with a parent label.",
 			secs[k], labels...)
 		reg.CounterVal("aoadmm_kernel_calls_total",
 			"Kernel invocations across finished jobs, per kernel per mode.",

@@ -22,23 +22,53 @@ const (
 	// construction (charged here because the image exists only to serve this
 	// kernel, matching Table II's accounting).
 	KernelMTTKRP Kernel = "mttkrp"
-	// KernelGram covers Gram products and their Hadamard combination.
+	// KernelGramProduct is the Hadamard product of the other modes' Grams,
+	// G = ∗_{n≠m} AₙᵀAₙ, formed before each mode update.
+	KernelGramProduct Kernel = "gram_product"
+	// KernelGram is the refresh of a mode's Gram AₘᵀAₘ after its update.
 	KernelGram Kernel = "gram"
-	// KernelCholesky is (G + rho*I) factorization: the shared per-solve
-	// factorization plus any adaptive-rho refactorizations.
+	// KernelCholesky is (G + rho*I) factorization. Under admm_inner it is the
+	// shared per-solve factorization plus any adaptive-rho refactorizations;
+	// without a parent it is ALS's whole normal-equations mode update.
 	KernelCholesky Kernel = "cholesky"
 	// KernelADMMInner is the inner ADMM solve (solve + prox + dual update
-	// over all inner iterations), measured as wall time.
+	// over all inner iterations).
 	KernelADMMInner Kernel = "admm_inner"
 	// KernelProx is the proximal-operator application inside the inner loop,
-	// summed across worker threads (CPU seconds; a subset of KernelADMMInner's
-	// wall time scaled by parallelism).
+	// summed across worker threads and estimated from sampled row strips.
 	KernelProx Kernel = "prox"
 	// KernelHALSUpdate is the HALS column-update sweep (the HALS driver's
 	// analogue of the inner solve).
 	KernelHALSUpdate Kernel = "hals_update"
 	// KernelFit is the relative-error evaluation.
 	KernelFit Kernel = "fit"
+)
+
+// Phase is the Fig. 3 bucket a top-level (parent-less) kernel row is
+// charged to: mode updates (the inner solve, HALS's sweep, ALS's Cholesky
+// solve) are ADMM, tree construction is SETUP, and Grams and the fit are
+// OTHER.
+func (k Kernel) Phase() Phase {
+	switch k {
+	case KernelCSFSetup:
+		return PhaseSetup
+	case KernelMTTKRP:
+		return PhaseMTTKRP
+	case KernelADMMInner, KernelHALSUpdate, KernelCholesky:
+		return PhaseADMM
+	default:
+		return PhaseOther
+	}
+}
+
+// Units of a kernel row's seconds.
+const (
+	// UnitWall marks wall-clock seconds: the driver's top-level kernels.
+	UnitWall = "wall_s"
+	// UnitCPU marks CPU seconds summed across worker threads: the rows
+	// nested under a parent kernel, which on p threads can reach p times
+	// the parent's wall time.
+	UnitCPU = "cpu_s"
 )
 
 // ModeNone keys kernel timings not attributable to a single mode.
@@ -50,6 +80,7 @@ const MetricsSchema = "aoadmm-metrics/v1"
 type kernelKey struct {
 	kernel Kernel
 	mode   int
+	parent Kernel
 }
 
 type kernelAgg struct {
@@ -57,11 +88,10 @@ type kernelAgg struct {
 	calls int64
 }
 
-// Metrics is the run-level observability object: per-kernel-per-mode wall
-// times, per-block ADMM convergence counters, scheduler load telemetry, and
-// the factor-sparsity timeline. A nil *Metrics is the disabled state — every
-// method is a no-op on it, so call sites stay unconditional and a disabled
-// run pays one nil check per phase boundary.
+// Metrics is the run-level observability object, collected on every solve:
+// per-kernel-per-mode times, per-block ADMM convergence counters, scheduler
+// load telemetry, and the factor-sparsity timeline. Every method is a no-op
+// on a nil *Metrics, and Report returns an empty skeleton.
 //
 // Methods are safe for concurrent use, but the intended pattern is coarser:
 // hot parallel regions shard their counters per thread (see par.Telemetry
@@ -88,25 +118,73 @@ func NewMetrics() *Metrics {
 	}
 }
 
-// Enabled reports whether the collector is live (non-nil).
-func (m *Metrics) Enabled() bool { return m != nil }
-
-// AddKernel accumulates d into kernel k for the given mode (ModeNone for
-// modeless phases) and counts one call.
+// AddKernel accumulates the wall time d into top-level kernel k for the
+// given mode (ModeNone for modeless phases) and counts one call.
 func (m *Metrics) AddKernel(k Kernel, mode int, d time.Duration) {
+	m.addKernel(kernelKey{k, mode, ""}, d, 1)
+}
+
+// AddSubKernel accumulates the thread-summed CPU time d into kernel k nested
+// under kernel parent of the same mode, and counts one call.
+func (m *Metrics) AddSubKernel(parent, k Kernel, mode int, d time.Duration) {
+	m.addKernel(kernelKey{k, mode, parent}, d, 1)
+}
+
+func (m *Metrics) addKernel(key kernelKey, d time.Duration, calls int64) {
 	if m == nil {
 		return
 	}
 	m.mu.Lock()
-	key := kernelKey{k, mode}
 	agg := m.kernels[key]
 	if agg == nil {
 		agg = &kernelAgg{}
 		m.kernels[key] = agg
 	}
 	agg.dur += d
-	agg.calls++
+	agg.calls += calls
 	m.mu.Unlock()
+}
+
+// Merge adds other's accumulations into m: kernel rows and ADMM counters
+// sum, scheduler threads merge by tid, the sparsity timeline appends, and
+// other's OOC report and backends win when set. other is snapshotted first,
+// so concurrent a.Merge(b) / b.Merge(a) cannot deadlock.
+func (m *Metrics) Merge(other *Metrics) {
+	if m == nil || other == nil {
+		return
+	}
+	rep := other.Report()
+	for _, kt := range rep.Kernels {
+		m.addKernel(kernelKey{Kernel(kt.Kernel), kt.Mode, Kernel(kt.Parent)}, kt.Duration, kt.Calls)
+	}
+	for _, t := range rep.Scheduler.Threads {
+		m.RecordSchedulerThread(t.TID, t.Chunks, time.Duration(t.BusySeconds*float64(time.Second)))
+	}
+	m.SetOOC(rep.OOC)
+	m.SetBackends(rep.Backends)
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	m.solves += rep.ADMM.Solves
+	m.blocks += rep.ADMM.Blocks
+	m.rhoAdaptations += rep.ADMM.RhoAdaptations
+	for its, n := range rep.ADMM.InnerIterHistogram {
+		it, _ := strconv.Atoi(its)
+		m.hist[it] += n
+	}
+	m.sparsity = append(m.sparsity, rep.Sparsity...)
+}
+
+// Breakdown derives the Fig. 3 phase split from the top-level kernel rows:
+// each parent-less row's wall time is charged to its kernel's Phase. Nested
+// rows are thread-summed parts of their parent and are not counted again.
+func (m *Metrics) Breakdown() *Breakdown {
+	bd := NewBreakdown()
+	for _, kt := range m.Report().Kernels {
+		if kt.Parent == "" {
+			bd.Add(Kernel(kt.Kernel).Phase(), kt.Duration)
+		}
+	}
+	return bd
 }
 
 // RecordADMMSolve folds one inner solve's per-block iteration counts into
@@ -212,8 +290,9 @@ type OOCReport struct {
 type Report struct {
 	// Schema is MetricsSchema.
 	Schema string `json:"schema"`
-	// Kernels holds per-kernel-per-mode accumulated wall times, sorted by
-	// (kernel, mode). Mode -1 marks phases not attributable to one mode.
+	// Kernels holds per-kernel-per-mode accumulated times, sorted by
+	// (kernel, mode, parent). Mode -1 marks phases not attributable to one
+	// mode.
 	Kernels []KernelTiming `json:"kernels"`
 	// ADMM summarizes inner-solver convergence behaviour.
 	ADMM ADMMMetrics `json:"admm"`
@@ -228,12 +307,20 @@ type Report struct {
 	Backends []string `json:"backends,omitempty"`
 }
 
-// KernelTiming is one (kernel, mode) accumulator.
+// KernelTiming is one (kernel, mode, parent) accumulator.
 type KernelTiming struct {
-	Kernel  string  `json:"kernel"`
-	Mode    int     `json:"mode"`
+	Kernel string `json:"kernel"`
+	Mode   int    `json:"mode"`
+	// Parent names the kernel of the same mode this row is part of; empty
+	// for the driver's top-level kernels. Summing only parent-less rows
+	// gives the solve's wall time without double counting.
+	Parent string `json:"parent"`
+	// Unit is UnitWall for top-level rows and UnitCPU for nested ones.
+	Unit    string  `json:"unit"`
 	Seconds float64 `json:"seconds"`
 	Calls   int64   `json:"calls"`
+	// Duration is Seconds at full precision, for in-process consumers.
+	Duration time.Duration `json:"-"`
 }
 
 // ADMMMetrics summarizes inner-solver convergence across a run.
@@ -292,18 +379,29 @@ func (m *Metrics) Report() *Report {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	for key, agg := range m.kernels {
+		unit := UnitWall
+		if key.parent != "" {
+			unit = UnitCPU
+		}
 		r.Kernels = append(r.Kernels, KernelTiming{
-			Kernel:  string(key.kernel),
-			Mode:    key.mode,
-			Seconds: agg.dur.Seconds(),
-			Calls:   agg.calls,
+			Kernel:   string(key.kernel),
+			Mode:     key.mode,
+			Parent:   string(key.parent),
+			Unit:     unit,
+			Seconds:  agg.dur.Seconds(),
+			Calls:    agg.calls,
+			Duration: agg.dur,
 		})
 	}
 	sort.Slice(r.Kernels, func(i, j int) bool {
-		if r.Kernels[i].Kernel != r.Kernels[j].Kernel {
-			return r.Kernels[i].Kernel < r.Kernels[j].Kernel
+		a, b := r.Kernels[i], r.Kernels[j]
+		if a.Kernel != b.Kernel {
+			return a.Kernel < b.Kernel
 		}
-		return r.Kernels[i].Mode < r.Kernels[j].Mode
+		if a.Mode != b.Mode {
+			return a.Mode < b.Mode
+		}
+		return a.Parent < b.Parent
 	})
 	r.ADMM.Solves = m.solves
 	r.ADMM.Blocks = m.blocks

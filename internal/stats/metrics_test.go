@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"encoding/json"
 	"math"
+	"strconv"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -39,10 +41,10 @@ func TestBreakdownConcurrentAdd(t *testing.T) {
 	}
 }
 
-func TestBreakdownMergeBothDirectionsConcurrently(t *testing.T) {
-	a, b := NewBreakdown(), NewBreakdown()
-	a.Add(PhaseMTTKRP, time.Second)
-	b.Add(PhaseADMM, time.Second)
+func TestMetricsMergeBothDirectionsConcurrently(t *testing.T) {
+	a, b := NewMetrics(), NewMetrics()
+	a.AddKernel(KernelMTTKRP, 0, time.Second)
+	b.AddKernel(KernelADMMInner, 0, time.Second)
 	// Opposite-direction merges must not deadlock (Merge snapshots the
 	// source instead of holding both locks).
 	var wg sync.WaitGroup
@@ -50,19 +52,16 @@ func TestBreakdownMergeBothDirectionsConcurrently(t *testing.T) {
 	go func() { defer wg.Done(); a.Merge(b) }()
 	go func() { defer wg.Done(); b.Merge(a) }()
 	wg.Wait()
-	if a.Get(PhaseADMM) != time.Second {
-		t.Fatalf("a missed merged ADMM time: %v", a.Get(PhaseADMM))
+	if got := a.Breakdown().Get(PhaseADMM); got != time.Second {
+		t.Fatalf("a missed merged ADMM time: %v", got)
 	}
-	if b.Get(PhaseMTTKRP) != time.Second {
-		t.Fatalf("b missed merged MTTKRP time: %v", b.Get(PhaseMTTKRP))
+	if got := b.Breakdown().Get(PhaseMTTKRP); got != time.Second {
+		t.Fatalf("b missed merged MTTKRP time: %v", got)
 	}
 }
 
 func TestMetricsNilSafe(t *testing.T) {
 	var m *Metrics
-	if m.Enabled() {
-		t.Fatal("nil Metrics reports enabled")
-	}
 	m.AddKernel(KernelMTTKRP, 0, time.Second)
 	m.RecordADMMSolve([]int{1, 2}, 3)
 	m.RecordSchedulerThread(0, 1, time.Second)
@@ -194,5 +193,74 @@ func TestMetricsConcurrent(t *testing.T) {
 	}
 	if calls != 8*500 {
 		t.Fatalf("kernel calls = %d, want %d", calls, 8*500)
+	}
+}
+
+func TestMetricsNestedRowsAndMerge(t *testing.T) {
+	a := NewMetrics()
+	a.AddKernel(KernelADMMInner, 0, 3*time.Second)
+	a.AddSubKernel(KernelADMMInner, KernelCholesky, 0, time.Second)
+	a.AddKernel(KernelCholesky, 1, 2*time.Second) // ALS's top-level mode update
+	a.RecordADMMSolve([]int{2, 5}, 1)
+	a.RecordSchedulerThread(0, 4, time.Second)
+	a.RecordDensity(1, 0, 0.5, "DENSE")
+
+	b := NewMetrics()
+	b.AddKernel(KernelADMMInner, 0, time.Second)
+	b.AddKernel(KernelMTTKRP, 0, time.Second)
+	b.RecordADMMSolve([]int{5}, 0)
+	b.RecordSchedulerThread(0, 1, time.Second)
+	b.RecordDensity(2, 0, 0.25, "CSR")
+	b.SetBackends([]string{"distnet"})
+	a.Merge(b)
+
+	rep := a.Report()
+	type row struct{ kernel, parent, unit string }
+	var got []row
+	for _, kt := range rep.Kernels {
+		got = append(got, row{kt.Kernel + "/" + strconv.Itoa(kt.Mode), kt.Parent, kt.Unit})
+	}
+	want := []row{
+		{"admm_inner/0", "", UnitWall},
+		{"cholesky/0", "admm_inner", UnitCPU},
+		{"cholesky/1", "", UnitWall},
+		{"mttkrp/0", "", UnitWall},
+	}
+	if len(got) != len(want) {
+		t.Fatalf("rows = %+v, want %+v", got, want)
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("row %d = %+v, want %+v", i, got[i], want[i])
+		}
+	}
+	if rep.Kernels[0].Calls != 2 || rep.Kernels[0].Duration != 4*time.Second {
+		t.Fatalf("merged admm_inner row = %+v", rep.Kernels[0])
+	}
+	if rep.ADMM.Solves != 2 || rep.ADMM.Blocks != 3 || rep.ADMM.InnerIterHistogram["5"] != 2 {
+		t.Fatalf("merged ADMM = %+v", rep.ADMM)
+	}
+	if len(rep.Scheduler.Threads) != 1 || rep.Scheduler.Threads[0].Chunks != 5 {
+		t.Fatalf("merged threads = %+v", rep.Scheduler.Threads)
+	}
+	if len(rep.Sparsity) != 2 || rep.Sparsity[1].Structure != "CSR" || len(rep.Backends) != 1 {
+		t.Fatalf("merged sparsity %+v backends %v", rep.Sparsity, rep.Backends)
+	}
+
+	// The phase split counts top-level rows only: the nested cholesky is
+	// part of admm_inner, ALS's top-level cholesky is a mode update.
+	bd := a.Breakdown()
+	if bd.Get(PhaseADMM) != 6*time.Second || bd.Get(PhaseMTTKRP) != time.Second || bd.Total() != 7*time.Second {
+		t.Fatalf("breakdown %v", bd)
+	}
+
+	var buf bytes.Buffer
+	if err := a.WriteJSON(&buf); err != nil {
+		t.Fatal(err)
+	}
+	for _, field := range []string{`"parent": "admm_inner"`, `"unit": "cpu_s"`, `"parent": ""`, `"unit": "wall_s"`} {
+		if !strings.Contains(buf.String(), field) {
+			t.Errorf("JSON lacks %s", field)
+		}
 	}
 }

@@ -25,11 +25,9 @@ const (
 	PhaseSetup  Phase = "SETUP"
 )
 
-// Breakdown accumulates wall time per phase. All methods are safe for
-// concurrent use: the drivers' worker-side timers may Add from several
-// goroutines at once. Accumulation happens at phase granularity (a handful
-// of calls per outer iteration), so a mutex — rather than per-thread
-// sharding — costs nothing measurable here.
+// Breakdown is wall time per phase. A solve's breakdown is derived from its
+// top-level kernel rows (Metrics.Breakdown). All methods are safe for
+// concurrent use.
 type Breakdown struct {
 	mu        sync.Mutex
 	durations map[Phase]time.Duration
@@ -45,13 +43,6 @@ func (b *Breakdown) Add(p Phase, d time.Duration) {
 	b.mu.Lock()
 	b.durations[p] += d
 	b.mu.Unlock()
-}
-
-// Time runs fn and accumulates its wall time into phase p.
-func (b *Breakdown) Time(p Phase, fn func()) {
-	start := time.Now()
-	fn()
-	b.Add(p, time.Since(start))
 }
 
 // Get returns the accumulated time for phase p.
@@ -99,15 +90,6 @@ func (b *Breakdown) Fractions() map[Phase]float64 {
 		out[p] = float64(d) / float64(total)
 	}
 	return out
-}
-
-// Merge adds other's accumulations into b. The snapshot of other keeps the
-// two locks from nesting, so concurrent a.Merge(b) / b.Merge(a) cannot
-// deadlock.
-func (b *Breakdown) Merge(other *Breakdown) {
-	for p, d := range other.snapshot() {
-		b.Add(p, d)
-	}
 }
 
 // String renders the breakdown sorted by phase name.

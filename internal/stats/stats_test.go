@@ -26,20 +26,6 @@ func TestBreakdownAccumulates(t *testing.T) {
 	}
 }
 
-func TestBreakdownTimeAndMerge(t *testing.T) {
-	b := NewBreakdown()
-	b.Time(PhaseADMM, func() { time.Sleep(time.Millisecond) })
-	if b.Get(PhaseADMM) <= 0 {
-		t.Fatal("Time did not accumulate")
-	}
-	other := NewBreakdown()
-	other.Add(PhaseADMM, time.Second)
-	b.Merge(other)
-	if b.Get(PhaseADMM) < time.Second {
-		t.Fatal("Merge failed")
-	}
-}
-
 func TestBreakdownEmptyFractions(t *testing.T) {
 	b := NewBreakdown()
 	if len(b.Fractions()) != 0 {
