@@ -217,6 +217,36 @@ func BenchmarkMTTKRP(b *testing.B) {
 	})
 }
 
+// BenchmarkCSFBuild measures compiling a CSF set (one tree per root mode) on
+// the patents proxy (short dense modes) and the NELL proxy (long sparse
+// modes), each presorted in natural mode order as generated, where the
+// radix order needs at most the root pass, and shuffled, where it runs
+// every digit pass.
+func BenchmarkCSFBuild(b *testing.B) {
+	for _, name := range []string{"patents", "nell"} {
+		x := benchTensor(b, name)
+		shuffled := x.Clone()
+		rng := rand.New(rand.NewSource(4))
+		rng.Shuffle(shuffled.NNZ(), func(p, q int) {
+			for _, col := range shuffled.Inds {
+				col[p], col[q] = col[q], col[p]
+			}
+			shuffled.Vals[p], shuffled.Vals[q] = shuffled.Vals[q], shuffled.Vals[p]
+		})
+		for _, in := range []struct {
+			name string
+			x    *Tensor
+		}{{"presorted", x}, {"shuffled", shuffled}} {
+			b.Run(name+"/"+in.name, func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					csf.BuildSet(in.x)
+				}
+				b.ReportMetric(float64(in.x.NNZ())*float64(b.N)/b.Elapsed().Seconds(), "nnz/s")
+			})
+		}
+	}
+}
+
 // BenchmarkADMM measures one inner solve, baseline vs blocked, on a
 // tall-and-skinny problem shaped like a mode update.
 func BenchmarkADMM(b *testing.B) {

@@ -111,9 +111,9 @@ func NewCSFEngine(x *tensor.COO, single bool) Engine {
 				shortest = m
 			}
 		}
-		e.trees = csf.Build(x.Clone(), csf.DefaultPerm(x.Order(), shortest))
+		e.trees = csf.Build(x, csf.DefaultPerm(x.Order(), shortest))
 	} else {
-		e.set = csf.BuildSet(x.Clone())
+		e.set = csf.BuildSet(x)
 	}
 	return e
 }

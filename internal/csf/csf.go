@@ -30,7 +30,9 @@ type Tensor struct {
 }
 
 // Build compiles a COO tensor into CSF under the given mode permutation.
-// The COO input is sorted in place (by perm) as a side effect.
+// It reads the non-zeros through their stable lexicographic order under perm
+// (tensor.COO.OrderBy, a linear-time radix order) and leaves the COO
+// untouched. Duplicate coordinates become sibling leaves in input order.
 func Build(t *tensor.COO, perm []int) *Tensor {
 	order := t.Order()
 	if len(perm) != order {
@@ -43,73 +45,56 @@ func Build(t *tensor.COO, perm []int) *Tensor {
 		}
 		seen[m] = true
 	}
-	t.Sort(perm)
+	ord := t.OrderBy(perm)
 
-	nnz := t.NNZ()
+	nnz := len(ord)
 	c := &Tensor{
 		Dims: append([]int(nil), t.Dims...),
 		Perm: append([]int(nil), perm...),
 		FPtr: make([][]int32, order-1),
 		FIDs: make([][]int32, order),
-		Vals: append([]float64(nil), t.Vals...),
+		Vals: make([]float64, nnz),
+	}
+	cols := make([][]int32, order) // cols[d] holds the depth-d mode's indices
+	for d, m := range perm {
+		cols[d] = t.Inds[m]
 	}
 
 	// Leaf level: one node per non-zero.
-	leafMode := perm[order-1]
-	c.FIDs[order-1] = append([]int32(nil), t.Inds[leafMode]...)
-
-	// Build levels bottom-up conceptually, but since the COO is sorted we can
-	// do a single pass per level top-down: a new node starts at depth d
-	// whenever any of modes perm[0..d] changes between adjacent non-zeros.
-	for d := order - 2; d >= 0; d-- {
-		mode := perm[d]
-		var fids []int32
-		var fptr []int32
-		for p := 0; p < nnz; p++ {
-			if p == 0 || changedAbove(t, perm, d, p) {
-				fids = append(fids, t.Inds[mode][p])
-				fptr = append(fptr, int32(p))
-			}
-		}
-		fptr = append(fptr, int32(nnz))
-		c.FIDs[d] = fids
-		// fptr currently points into leaf positions; it must point into the
-		// next level's node list instead (for d == order-2 those coincide).
-		c.FPtr[d] = fptr
+	leaf := make([]int32, nnz)
+	leafCol := cols[order-1]
+	for i, p := range ord {
+		c.Vals[i] = t.Vals[p]
+		leaf[i] = leafCol[p]
 	}
+	c.FIDs[order-1] = leaf
 
-	// Convert child pointers from leaf offsets to next-level node offsets.
-	// Level d's fptr was recorded as leaf positions where a depth-d node
-	// starts; a depth-(d+1) node also starts at a leaf position, so child
-	// ranges are found by locating those positions in level d+1's starts.
-	for d := 0; d < order-2; d++ {
-		next := c.FPtr[d+1] // starts of depth-(d+1) nodes, in leaf offsets
-		ptr := c.FPtr[d]
-		converted := make([]int32, len(ptr))
-		j := 0
-		for i, leafOff := range ptr {
-			if i == len(ptr)-1 {
-				converted[i] = int32(len(c.FIDs[d+1]))
-				break
+	// Upper levels in one pass: a new node starts at depth d whenever any of
+	// modes perm[0..d] changes between adjacent non-zeros, and its children
+	// start at the node the next level is about to append.
+	prev := make([]int32, order)
+	for i, p := range ord {
+		d := 0
+		if i > 0 {
+			for d < order-1 && cols[d][p] == prev[d] {
+				d++
 			}
-			for next[j] != leafOff {
-				j++
-			}
-			converted[i] = int32(j)
 		}
-		c.FPtr[d] = converted
+		for ; d < order-1; d++ {
+			v := cols[d][p]
+			prev[d] = v
+			child := int32(i)
+			if d < order-2 {
+				child = int32(len(c.FIDs[d+1]))
+			}
+			c.FIDs[d] = append(c.FIDs[d], v)
+			c.FPtr[d] = append(c.FPtr[d], child)
+		}
+	}
+	for d := 0; d < order-1; d++ {
+		c.FPtr[d] = append(c.FPtr[d], int32(len(c.FIDs[d+1])))
 	}
 	return c
-}
-
-func changedAbove(t *tensor.COO, perm []int, d, p int) bool {
-	for dd := 0; dd <= d; dd++ {
-		m := perm[dd]
-		if t.Inds[m][p] != t.Inds[m][p-1] {
-			return true
-		}
-	}
-	return false
 }
 
 // Order returns the number of modes.
@@ -203,8 +188,8 @@ type Set struct {
 	Trees []*Tensor
 }
 
-// BuildSet constructs a Set from a COO tensor. The COO is re-sorted in place
-// repeatedly during construction.
+// BuildSet constructs a Set from a COO tensor, one Build per root mode. The
+// COO is not modified.
 func BuildSet(t *tensor.COO) *Set {
 	order := t.Order()
 	s := &Set{Trees: make([]*Tensor, order)}

@@ -27,7 +27,7 @@ func SplitLeafTiles(t *tensor.COO, perm []int, tileRows int) []*Tensor {
 	leafMode := perm[order-1]
 	nTiles := (t.Dims[leafMode] + tileRows - 1) / tileRows
 	if nTiles <= 1 {
-		return []*Tensor{Build(t.Clone(), perm)}
+		return []*Tensor{Build(t, perm)}
 	}
 
 	// Bucket non-zeros by tile.

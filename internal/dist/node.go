@@ -117,8 +117,8 @@ type LocalKernel interface {
 // "" or "csf" builds per-mode CSF trees (the default), "alto" the linearized
 // format, and "auto" asks the perfmodel cost model, which sees this node's
 // local sparsity structure — a skewed partition may pick differently than
-// its neighbors. The partition is owned by the call and may be sorted in
-// place. Unknown formats fail loudly.
+// its neighbors. Neither format modifies the partition. Unknown formats fail
+// loudly.
 func NewLocalKernel(part *tensor.COO, format string, rank int) (LocalKernel, error) {
 	if format == "auto" {
 		if part.NNZ() == 0 {

@@ -39,10 +39,10 @@ func Kernels(cfg Config) error {
 		factors, out := kernelOperands(x, cfg.Rank)
 
 		csfStart := time.Now()
-		set := csf.BuildSet(x.Clone())
+		set := csf.BuildSet(x)
 		buildCSF := time.Since(csfStart)
 		altoStart := time.Now()
-		at, err := alto.Build(x.Clone(), alto.Options{})
+		at, err := alto.Build(x, alto.Options{})
 		if err != nil {
 			return fmt.Errorf("kernels %s alto build: %w", sc.name, err)
 		}

@@ -10,7 +10,6 @@ import (
 	"math"
 	"os"
 	"path/filepath"
-	"sort"
 	"strings"
 
 	"aoadmm/internal/tensor"
@@ -19,8 +18,9 @@ import (
 // ConvertOptions configures a conversion.
 type ConvertOptions struct {
 	// MemBudgetBytes bounds the converter's working memory: sort chunks are
-	// sized to a third of it (the chunk, its run-file buffer, and slack) and
-	// the default shard target derives from it. <= 0 means 256 MiB.
+	// sized to a third of it (the chunk, its radix order of up to 8 bytes a
+	// record, its run-file buffer, and slack) and the default shard target
+	// derives from it. <= 0 means 256 MiB.
 	MemBudgetBytes int64
 	// TargetShardBytes sizes shards. <= 0 derives MemBudgetBytes/6, so that
 	// at solve time a double-buffered shard pair plus the current shard's
@@ -259,34 +259,23 @@ func (c *converter) add(coord []int32, val float64) error {
 	return nil
 }
 
-// chunkSorter sorts the chunk's parallel arrays in place, lexicographically
-// with mode 0 most significant — no index permutation or copy needed.
-type chunkSorter struct{ c *converter }
-
-func (s chunkSorter) Len() int { return len(s.c.chunkVals) }
-func (s chunkSorter) Less(a, b int) bool {
-	for _, col := range s.c.chunkInds {
-		if col[a] != col[b] {
-			return col[a] < col[b]
-		}
+// chunkOrder returns the chunk's record positions in lexicographic order,
+// mode 0 most significant, duplicates in arrival order; the chunk is not
+// moved. It returns nil when the chunk already is in that order (a
+// deduplicated tensor, a sorted file), which then needs no order scratch.
+func (c *converter) chunkOrder() []int32 {
+	n := len(c.chunkVals)
+	if tensor.LexSorted(c.chunkInds, n) {
+		return nil
 	}
-	return false
-}
-func (s chunkSorter) Swap(a, b int) {
-	for _, col := range s.c.chunkInds {
-		col[a], col[b] = col[b], col[a]
-	}
-	s.c.chunkVals[a], s.c.chunkVals[b] = s.c.chunkVals[b], s.c.chunkVals[a]
+	return tensor.LexOrder(c.chunkInds, n)
 }
 
-func (c *converter) sortChunk() { sort.Sort(chunkSorter{c}) }
-
-// spill sorts the current chunk and writes it as a row-wise run file.
+// spill writes the current chunk, in order, as a row-wise run file.
 func (c *converter) spill() error {
 	if len(c.chunkVals) == 0 {
 		return nil
 	}
-	c.sortChunk()
 	if err := os.MkdirAll(c.opts.TmpDir, 0o755); err != nil {
 		return err
 	}
@@ -297,7 +286,12 @@ func (c *converter) spill() error {
 	}
 	bw := bufio.NewWriterSize(f, 1<<16)
 	rec := make([]byte, recordBytes(c.order))
-	for p := range c.chunkVals {
+	ord := c.chunkOrder()
+	for i := range c.chunkVals {
+		p := i
+		if ord != nil {
+			p = int(ord[i])
+		}
 		off := 0
 		for m := 0; m < c.order; m++ {
 			binary.LittleEndian.PutUint32(rec[off:], uint32(c.chunkInds[m][p]))
@@ -353,10 +347,14 @@ func (c *converter) finish() (*ShardedTensor, error) {
 
 	var err error
 	if len(c.runs) == 0 {
-		// Single chunk: sort and shard directly, no run files.
-		c.sortChunk()
+		// Single chunk: shard it directly in order, no run files.
 		coord := make([]int32, c.order)
-		for p := range c.chunkVals {
+		ord := c.chunkOrder()
+		for i := range c.chunkVals {
+			p := i
+			if ord != nil {
+				p = int(ord[i])
+			}
 			for m := range coord {
 				coord[m] = c.chunkInds[m][p]
 			}

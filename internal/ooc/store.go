@@ -84,7 +84,7 @@ func (s *ShardedTensor) String() string {
 // LoadShard reads, CRC-verifies, and decodes shard i into a COO tensor
 // carrying the full global dims (indices are global, sorted lexicographically
 // with mode 0 most significant). The returned tensor is owned by the caller;
-// the CSF builder may sort it in place.
+// building CSF or ALTO from it leaves it unchanged.
 func (s *ShardedTensor) LoadShard(i int) (*tensor.COO, error) {
 	if i < 0 || i >= len(s.h.Shards) {
 		return nil, fmt.Errorf("ooc: shard %d out of range [0, %d)", i, len(s.h.Shards))

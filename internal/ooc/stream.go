@@ -226,9 +226,10 @@ func (s *ShardedTensor) MTTKRPKernel(format string, mode int, factors []*dense.M
 			shardFormat = perfmodel.ChooseKernelFormat(p.coo, out.Cols, mo.Threads)
 		}
 
-		// Compile this shard's kernel structure. The shard COO is owned by
-		// this call, so the CSF build may sort it in place — no defensive
-		// clone (the ALTO build never mutates its input).
+		// Compile this shard's kernel structure. Neither build mutates the
+		// shard COO. A CSF build costs one radix pass over the root mode
+		// (mode 0 needs none): shards arrive in natural mode order, which
+		// OrderBy confirms with one scan rather than trusting the file.
 		var kernelErr error
 		switch shardFormat {
 		case "alto":

@@ -9,7 +9,6 @@ package tensor
 import (
 	"fmt"
 	"math"
-	"sort"
 )
 
 // COO is a sparse tensor of arbitrary order in coordinate format.
@@ -104,34 +103,15 @@ func (t *COO) Clone() *COO {
 	return c
 }
 
-// less compares non-zeros p and q lexicographically under the mode
-// permutation perm (perm[0] is the most significant mode).
-func (t *COO) less(perm []int, p, q int) bool {
-	for _, m := range perm {
-		if t.Inds[m][p] != t.Inds[m][q] {
-			return t.Inds[m][p] < t.Inds[m][q]
-		}
-	}
-	return false
-}
-
-// Sort orders the non-zeros lexicographically by the mode permutation perm.
-// CSF construction for a given root mode sorts with that mode first.
+// Sort orders the non-zeros lexicographically by the mode permutation perm,
+// stably (see OrderBy).
 func (t *COO) Sort(perm []int) {
-	if len(perm) != t.Order() {
-		panic("tensor: Sort permutation length mismatch")
-	}
-	idx := make([]int, t.NNZ())
-	for i := range idx {
-		idx[i] = i
-	}
-	sort.SliceStable(idx, func(a, b int) bool { return t.less(perm, idx[a], idx[b]) })
-	t.permuteNonzeros(idx)
+	t.permuteNonzeros(t.OrderBy(perm))
 }
 
 // permuteNonzeros reorders storage so that new position i holds old
 // non-zero idx[i].
-func (t *COO) permuteNonzeros(idx []int) {
+func (t *COO) permuteNonzeros(idx []int32) {
 	for m := range t.Inds {
 		old := append([]int32(nil), t.Inds[m]...)
 		for i, j := range idx {

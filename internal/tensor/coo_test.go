@@ -74,7 +74,7 @@ func TestSortLexicographic(t *testing.T) {
 	c := smallCOO()
 	c.Sort([]int{0, 1, 2})
 	for p := 1; p < c.NNZ(); p++ {
-		if c.less([]int{0, 1, 2}, p, p-1) {
+		if refLess(c, []int{0, 1, 2}, p, p-1) {
 			t.Fatalf("not sorted at %d", p)
 		}
 	}
@@ -92,7 +92,7 @@ func TestSortAlternatePermutation(t *testing.T) {
 	perm := []int{2, 0, 1} // mode 2 most significant
 	c.Sort(perm)
 	for p := 1; p < c.NNZ(); p++ {
-		if c.less(perm, p, p-1) {
+		if refLess(c, perm, p, p-1) {
 			t.Fatalf("not sorted under perm at %d", p)
 		}
 	}
