@@ -181,3 +181,64 @@ func TestDistnetIteratesPinned(t *testing.T) {
 		t.Fatalf("comm %+v, pinned %+v", res.Comm, comm)
 	}
 }
+
+// TestDistRunPinned pins the in-process distributed simulator (dist.Run)
+// at Threads 1: iteration count, stop reason, the exact relative error and
+// the exact priced collective volume, for 1 and 3 nodes over explicit
+// mode-0 ranges, capped and Tol-stopped runs, the default 50-iteration
+// budget and a 4-mode tensor on 4 nodes.
+func TestDistRunPinned(t *testing.T) {
+	x := pinTensor(t)
+	x4, _, err := tensor.PlantedLowRank(tensor.GenOptions{
+		Dims: []int{6, 8, 10, 12}, NNZ: 2000, Rank: 3, Seed: 9, NoiseStd: 0.05,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	nn := []prox.Operator{prox.NonNegative{}}
+	one := [][2]int{{0, 15}}
+	three := [][2]int{{0, 4}, {4, 11}, {11, 15}}
+	cases := []struct {
+		name      string
+		x         *tensor.COO
+		opts      dist.Options
+		outer     int
+		converged bool
+		relErr    float64
+		comm      dist.CommStats
+	}{
+		{"nodes1-cap8", x,
+			dist.Options{Nodes: 1, Mode0Ranges: one, Rank: 4, Seed: 3, MaxOuterIters: 8, BlockSize: 10, Constraints: nn},
+			8, false, 0.73499810381965691, dist.CommStats{Messages: 48}},
+		{"nodes3-cap8", x,
+			dist.Options{Nodes: 3, Mode0Ranges: three, Rank: 4, Seed: 3, MaxOuterIters: 8, BlockSize: 10, Constraints: nn},
+			8, false, 0.73500043472615217, dist.CommStats{MTTKRPBytes: 23040, FactorBytes: 30720, GramBytes: 12288, Messages: 816}},
+		{"nodes1-tol1e-3", x,
+			dist.Options{Nodes: 1, Mode0Ranges: one, Rank: 4, Seed: 3, MaxOuterIters: 150, Tol: 1e-3, BlockSize: 10, Constraints: nn},
+			7, true, 0.73547267444316888, dist.CommStats{Messages: 42}},
+		{"nodes3-tol1e-3", x,
+			dist.Options{Nodes: 3, Mode0Ranges: three, Rank: 4, Seed: 3, MaxOuterIters: 150, Tol: 1e-3, BlockSize: 10, Constraints: nn},
+			7, true, 0.73546879566558987, dist.CommStats{MTTKRPBytes: 20160, FactorBytes: 26880, GramBytes: 10752, Messages: 714}},
+		{"nodes3-default-cap", x,
+			dist.Options{Nodes: 3, Rank: 4, Seed: 3, BlockSize: 10},
+			50, false, 0.70904929394884075, dist.CommStats{MTTKRPBytes: 144000, FactorBytes: 192000, GramBytes: 76800, Messages: 5100}},
+		{"order4-nodes4-cap6", x4,
+			dist.Options{Nodes: 4, Rank: 3, Seed: 2, MaxOuterIters: 6, BlockSize: 4, Constraints: nn},
+			6, false, 0.8390413087352927, dist.CommStats{MTTKRPBytes: 12960, FactorBytes: 15552, GramBytes: 10368, Messages: 660}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			res, err := dist.Run(tc.x.Clone(), tc.opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.OuterIters != tc.outer || res.Converged != tc.converged || res.RelErr != tc.relErr {
+				t.Fatalf("outer=%d converged=%v relerr=%.17g, pinned outer=%d converged=%v relerr=%.17g",
+					res.OuterIters, res.Converged, res.RelErr, tc.outer, tc.converged, tc.relErr)
+			}
+			if res.Comm != tc.comm {
+				t.Fatalf("comm %+v, pinned %+v", res.Comm, tc.comm)
+			}
+		})
+	}
+}
