@@ -50,7 +50,7 @@ type ALSOptions struct {
 // the cross-check baseline: with no constraints AO-ADMM must reach a
 // comparable fit.
 func FactorizeALS(x *tensor.COO, opts ALSOptions) (*Result, error) {
-	p, err := inMemoryProblem(x, func() (Engine, error) {
+	p, err := InMemoryProblem(x, func() (Engine, error) {
 		return buildInMemoryEngine(x, opts.KernelFormat, false, opts.Rank, opts.Threads)
 	})
 	if err != nil {

@@ -25,6 +25,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"math/rand"
 	"time"
 
 	"aoadmm/internal/admm"
@@ -243,27 +244,11 @@ type Options struct {
 // mode, the paper's 200-iteration cap and 1e-6 tolerance, and the 20%
 // sparsity threshold.
 func (o *Options) fill(order int) error {
-	switch len(o.Constraints) {
-	case 0:
-		o.Constraints = make([]prox.Operator, order)
-		for m := range o.Constraints {
-			o.Constraints[m] = prox.Unconstrained{}
-		}
-	case 1:
-		c := o.Constraints[0]
-		o.Constraints = make([]prox.Operator, order)
-		for m := range o.Constraints {
-			o.Constraints[m] = c
-		}
-	case order:
-		for m, c := range o.Constraints {
-			if c == nil {
-				o.Constraints[m] = prox.Unconstrained{}
-			}
-		}
-	default:
-		return fmt.Errorf("core: %d constraints for order-%d tensor", len(o.Constraints), order)
+	cons, err := BroadcastConstraints(o.Constraints, order)
+	if err != nil {
+		return err
 	}
+	o.Constraints = cons
 	if o.MaxOuterIters <= 0 {
 		o.MaxOuterIters = DefaultMaxOuterIters
 	}
@@ -274,6 +259,30 @@ func (o *Options) fill(order int) error {
 		o.SparseThreshold = DefaultSparseThreshold
 	}
 	return nil
+}
+
+// BroadcastConstraints expands a constraint list to one operator per mode:
+// an empty list leaves every mode unconstrained, a single operator applies
+// to every mode, and an order-length list is taken mode by mode. A nil
+// operator means unconstrained. Any other length is an error. The input is
+// never modified.
+func BroadcastConstraints(cs []prox.Operator, order int) ([]prox.Operator, error) {
+	if len(cs) > 1 && len(cs) != order {
+		return nil, fmt.Errorf("core: %d constraints for order-%d tensor", len(cs), order)
+	}
+	out := make([]prox.Operator, order)
+	for m := range out {
+		switch {
+		case len(cs) == 1:
+			out[m] = cs[0]
+		case len(cs) == order:
+			out[m] = cs[m]
+		}
+		if out[m] == nil {
+			out[m] = prox.Unconstrained{}
+		}
+	}
+	return out, nil
 }
 
 // Result reports a completed factorization.
@@ -340,7 +349,7 @@ type sparseImage struct {
 
 // Factorize runs AO-ADMM (Algorithm 2) on an in-memory tensor.
 func Factorize(x *tensor.COO, opts Options) (*Result, error) {
-	p, err := inMemoryProblem(x, func() (Engine, error) { return newEngine(x, opts) })
+	p, err := InMemoryProblem(x, func() (Engine, error) { return newEngine(x, opts) })
 	if err != nil {
 		return nil, err
 	}
@@ -361,9 +370,10 @@ func FactorizeOOC(st *ooc.ShardedTensor, opts Options) (*Result, error) {
 	return factorize(p, admmStep, opts)
 }
 
-// inMemoryProblem validates an in-memory tensor and describes it to the
-// driver, with build compiling its engine.
-func inMemoryProblem(x *tensor.COO, build func() (Engine, error)) (Problem, error) {
+// InMemoryProblem validates an in-memory tensor — at least two modes, at
+// least one non-zero, every coordinate inside Dims — and describes it to
+// the driver, with build compiling its engine.
+func InMemoryProblem(x *tensor.COO, build func() (Engine, error)) (Problem, error) {
 	if x.Order() < 2 {
 		return Problem{}, fmt.Errorf("core: tensor must have >= 2 modes")
 	}
@@ -514,23 +524,27 @@ func denseColumnShare(f *dense.Matrix) float64 {
 	return float64(inDense) / float64(total)
 }
 
-// scaleInit rescales the random initial factors so the initial model norm
-// matches the data norm, ‖M₀‖ ≈ ‖X‖. Without this, a non-negative run whose
-// data values dwarf the O(rank) initial model spends its first outer
-// iterations in a flat relerr ≈ 1 transient that can falsely trip the
-// improvement-based stopping rule.
-func scaleInit(model *kruskal.Tensor, xNormSq float64, threads int) {
-	if xNormSq <= 0 {
-		return
+// RandomModel is the random initial model every solver and data plane
+// starts from: kruskal.Random over a generator seeded with seed, rescaled so
+// the initial model norm matches the data norm, ‖M₀‖ ≈ ‖X‖ (normSq is
+// ‖X‖²). Without the rescale, a non-negative run whose data values dwarf
+// the O(rank) initial model spends its first outer iterations in a flat
+// relerr ≈ 1 transient that can falsely trip the improvement-based stopping
+// rule. threads only parallelizes the model norm.
+func RandomModel(dims []int, rank int, seed int64, normSq float64, threads int) *kruskal.Tensor {
+	model := kruskal.Random(dims, rank, rand.New(rand.NewSource(seed)))
+	if normSq <= 0 {
+		return model
 	}
 	mNormSq := model.NormSq(threads)
 	if mNormSq <= 0 {
-		return
+		return model
 	}
-	s := math.Pow(xNormSq/mNormSq, 0.5/float64(model.Order()))
+	s := math.Pow(normSq/mNormSq, 0.5/float64(model.Order()))
 	for _, f := range model.Factors {
 		dense.Scale(f, s)
 	}
+	return model
 }
 
 // checkInitDuals validates resumed dual variables against the tensor shape.

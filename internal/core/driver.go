@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"math/rand"
 	"time"
 
 	"aoadmm/internal/admm"
@@ -106,9 +105,7 @@ func Drive(p Problem, step Step, opts Options) (*Result, error) {
 		}
 		model = opts.InitFactors.Clone()
 	} else {
-		rng := rand.New(rand.NewSource(opts.Seed))
-		model = kruskal.Random(p.Dims, opts.Rank, rng)
-		scaleInit(model, p.NormSq, opts.Threads)
+		model = RandomModel(p.Dims, opts.Rank, opts.Seed, p.NormSq, opts.Threads)
 	}
 	var duals []*dense.Matrix
 	if step.Duals {

@@ -49,7 +49,7 @@ type HALSOptions struct {
 // an algorithmic baseline for AO-ADMM: both share the MTTKRP/Gram substrate,
 // so their convergence per unit work is directly comparable.
 func FactorizeHALS(x *tensor.COO, opts HALSOptions) (*Result, error) {
-	p, err := inMemoryProblem(x, func() (Engine, error) {
+	p, err := InMemoryProblem(x, func() (Engine, error) {
 		return buildInMemoryEngine(x, opts.KernelFormat, false, opts.Rank, opts.Threads)
 	})
 	if err != nil {

@@ -6,36 +6,43 @@
 // decomposition (Smith & Karypis, IPDPS'16 [23] family): the tensor's
 // non-zeros are partitioned by mode-0 slice, and every factor's rows are
 // partitioned contiguously so each node owns the rows of every mode it
-// updates. Per outer iteration and mode:
+// updates. Run is a client of core's AO outer loop (core.Drive), like the
+// networked coordinator: the simulated cluster is the loop's Engine and its
+// Step. Per outer iteration and mode:
 //
-//  1. each node computes a partial MTTKRP from its local non-zeros;
-//  2. the partials are reduce-scattered so each node holds the complete K
-//     rows it owns (communication: the non-owned portion of each partial);
-//  3. each node runs blocked ADMM on its owned rows — zero communication,
-//     because every block's convergence is purely local (the paper's
-//     claim); the baseline variant would need a residual allreduce per
-//     inner iteration, which the simulator also prices for comparison;
-//  4. the updated rows are allgathered so the next MTTKRP sees full
+//  1. (Engine) each node computes a partial MTTKRP from its local
+//     non-zeros, and the partials' non-zero rows are reduce-scattered in
+//     node order so each node holds the complete K rows it owns
+//     (communication: the non-owned rows of each partial);
+//  2. (Step) each node runs blocked ADMM on its owned rows — zero
+//     communication, because every block's convergence is purely local
+//     (the paper's claim); the baseline variant would need a residual
+//     allreduce per inner iteration, priced by BaselineADMMCommBytes for
+//     comparison;
+//  3. (Step) the updated rows are allgathered so the next MTTKRP sees full
 //     factors, and per-node Gram contributions are allreduced.
 //
-// All collectives run over Go channels through a Pricer that counts every
-// byte moved, so tests can verify both numerical equivalence with the
-// shared-memory solver and the communication-free ADMM property. The
-// node-local steps and the pricing rules live in node.go, shared with the
-// real multi-process engine (internal/distnet) — this simulator is that
-// engine's numerical and communication-cost oracle.
+// Every collective is counted by a Pricer, so tests can verify both
+// numerical equivalence with the shared-memory solver and the
+// communication-free ADMM property. The node-local steps — partial
+// MTTKRP, compaction to non-zero rows, the node-order reduce and its
+// pricing, the owned-rows ADMM — live in node.go and are shared with the
+// networked engine (internal/distnet): this simulator is that engine's
+// numerical and communication-cost oracle.
 package dist
 
 import (
 	"fmt"
-	"math"
 	"sync"
 
 	"aoadmm/internal/admm"
+	"aoadmm/internal/core"
 	"aoadmm/internal/csf"
 	"aoadmm/internal/dense"
 	"aoadmm/internal/kruskal"
+	"aoadmm/internal/mttkrp"
 	"aoadmm/internal/prox"
+	"aoadmm/internal/stats"
 	"aoadmm/internal/tensor"
 )
 
@@ -99,169 +106,152 @@ type Result struct {
 }
 
 // Run factorizes x on opts.Nodes simulated nodes and returns the factors
-// with communication statistics.
+// with communication statistics. It runs core's AO outer loop (core.Drive)
+// single-threaded, with the simulated cluster as both the Engine and the
+// Step, so its stop rule, initialization and fit are the shared-memory
+// solver's.
 func Run(x *tensor.COO, opts Options) (*Result, error) {
-	order := x.Order()
 	if opts.Nodes < 1 {
 		return nil, fmt.Errorf("dist: need >= 1 node, got %d", opts.Nodes)
 	}
 	if opts.Rank <= 0 {
 		return nil, fmt.Errorf("dist: Rank must be positive")
 	}
-	if x.NNZ() == 0 {
-		return nil, fmt.Errorf("dist: empty tensor")
-	}
-	cons, err := BroadcastConstraints(opts.Constraints, order)
+	// The block grid is global, so results match the shared-memory solver
+	// when node boundaries fall on block boundaries.
+	s := &simulator{rank: opts.Rank, cfg: admm.Config{
+		Eps:       opts.InnerEps,
+		MaxIters:  opts.InnerMaxIters,
+		BlockSize: opts.BlockSize,
+		Threads:   1,
+	}}
+	p, err := core.InMemoryProblem(x, func() (core.Engine, error) { return s, s.compile(x) })
 	if err != nil {
+		return nil, err
+	}
+	if s.cons, err = core.BroadcastConstraints(opts.Constraints, x.Order()); err != nil {
 		return nil, err
 	}
 	if opts.MaxOuterIters <= 0 {
 		opts.MaxOuterIters = 50
 	}
-	n := opts.Nodes
 
 	// Partition every mode's rows contiguously across nodes; mode 0 may be
 	// pinned by the caller (shard-derived placement parity).
-	owned := make([][][2]int, order)
-	for m := 0; m < order; m++ {
-		owned[m] = Partition(x.Dims[m], n)
+	s.owned = make([][][2]int, x.Order())
+	for m := range s.owned {
+		s.owned[m] = Partition(x.Dims[m], opts.Nodes)
 	}
 	if opts.Mode0Ranges != nil {
-		if err := validateRanges(opts.Mode0Ranges, n, x.Dims[0]); err != nil {
+		if err := validateRanges(opts.Mode0Ranges, opts.Nodes, x.Dims[0]); err != nil {
 			return nil, err
 		}
-		owned[0] = opts.Mode0Ranges
+		s.owned[0] = opts.Mode0Ranges
 	}
 
-	// Partition non-zeros by owner of their mode-0 slice.
-	parts := SplitByMode0(x, owned[0])
-
-	// Per-node CSF sets over local non-zeros (full global dims, so factor
-	// indices remain global).
-	trees := make([]*csf.Set, n)
-	for i := 0; i < n; i++ {
-		trees[i] = csf.BuildSet(parts[i])
+	r, err := core.Drive(p, core.Step{Kernel: stats.KernelADMMInner, Duals: true, Update: s.update}, core.Options{
+		Rank: opts.Rank, MaxOuterIters: opts.MaxOuterIters, Tol: opts.Tol, Threads: 1, Seed: opts.Seed,
+	})
+	if err != nil {
+		return nil, err
 	}
+	return &Result{
+		Factors:    r.Factors,
+		RelErr:     r.RelErr,
+		OuterIters: r.OuterIters,
+		Converged:  r.Converged,
+		Comm:       s.pricer.Stats(),
+	}, nil
+}
 
-	// Shared (replicated) factor state; mirrors core.Factorize's init,
-	// including the norm-matched rescaling of the random factors.
-	xNormSq := x.NormSq()
-	model := InitModel(x.Dims, opts.Rank, opts.Seed, xNormSq)
-	duals := make([]*dense.Matrix, order)
-	grams := make([]*dense.Matrix, order)
-	for m := 0; m < order; m++ {
-		duals[m] = dense.New(x.Dims[m], opts.Rank)
-		grams[m] = dense.Gram(model.Factors[m], 1)
-	}
+// simulator is the in-process cluster as core's Engine and Step. Its nodes
+// share the replicated factors; node i holds the non-zeros of the mode-0
+// slices in owned[0][i] and owns rows owned[m][i] of every mode m.
+type simulator struct {
+	rank    int
+	owned   [][][2]int
+	kernels []LocalKernel
+	cons    []prox.Operator
+	cfg     admm.Config
+	pricer  Pricer
+}
 
-	pricer := &Pricer{}
-
-	res := &Result{Factors: model, RelErr: 1}
-	prevErr := math.Inf(1) // as core.Drive: the first iteration never stops
-
-	for outer := 1; outer <= opts.MaxOuterIters; outer++ {
-		res.OuterIters = outer
-		var lastK *dense.Matrix
-		var lastMode int
-		for m := 0; m < order; m++ {
-			g := GramProduct(grams, m)
-
-			// Phase 1: local partial MTTKRPs (parallel across nodes).
-			partials := make([]*dense.Matrix, n)
-			var wg sync.WaitGroup
-			wg.Add(n)
-			for i := 0; i < n; i++ {
-				go func(i int) {
-					defer wg.Done()
-					partials[i] = PartialMTTKRP(trees[i].Tree(m), model.Factors, x.Dims[m], opts.Rank)
-				}(i)
-			}
-			wg.Wait()
-
-			// Phase 2: reduce-scatter K. Each node sends the rows it does
-			// not own to their owners; deterministic node-order summation.
-			k := dense.New(x.Dims[m], opts.Rank)
-			for i := 0; i < n; i++ {
-				p := partials[i]
-				if p == nil {
-					continue
-				}
-				ob, oe := owned[m][i][0], owned[m][i][1]
-				for r := 0; r < x.Dims[m]; r++ {
-					src := p.Row(r)
-					nonZero := false
-					for _, v := range src {
-						if v != 0 {
-							nonZero = true
-							break
-						}
-					}
-					if !nonZero {
-						continue
-					}
-					dst := k.Row(r)
-					for j, v := range src {
-						dst[j] += v
-					}
-					if r < ob || r >= oe {
-						pricer.ReduceScatterRow(opts.Rank)
-					}
-				}
-			}
-
-			// Phase 3: owned-rows blocked ADMM on every node concurrently —
-			// no communication (the §IV-B property). The block grid is
-			// global so results are identical to the shared-memory solver
-			// when node boundaries align with block boundaries.
-			cfg := admm.Config{
-				Prox:      cons[m],
-				Eps:       opts.InnerEps,
-				MaxIters:  opts.InnerMaxIters,
-				BlockSize: opts.BlockSize,
-				Threads:   1,
-			}
-			errs := make([]error, n)
-			wg.Add(n)
-			for i := 0; i < n; i++ {
-				go func(i int) {
-					defer wg.Done()
-					ob, oe := owned[m][i][0], owned[m][i][1]
-					errs[i] = LocalADMM(
-						model.Factors[m].RowBlock(ob, oe),
-						duals[m].RowBlock(ob, oe),
-						k.RowBlock(ob, oe),
-						g, cfg)
-				}(i)
-			}
-			wg.Wait()
-			for i, e := range errs {
-				if e != nil {
-					return nil, fmt.Errorf("dist: node %d mode %d: %w", i, m, e)
-				}
-			}
-
-			// Phase 4: allgather the updated rows to the other n-1 nodes and
-			// allreduce the per-node Gram contributions.
-			for i := 0; i < n; i++ {
-				ob, oe := owned[m][i][0], owned[m][i][1]
-				pricer.AllgatherNode(oe-ob, opts.Rank, n)
-			}
-			grams[m] = dense.Gram(model.Factors[m], 1)
-			pricer.GramAllreduce(opts.Rank, n)
-
-			lastK, lastMode = k, m
+// compile places the non-zeros by mode-0 owner and builds every node's
+// local CSF kernel over them (full global dims, so factor indices remain
+// global).
+func (s *simulator) compile(x *tensor.COO) error {
+	parts := SplitByMode0(x, s.owned[0])
+	s.kernels = make([]LocalKernel, len(parts))
+	for i, part := range parts {
+		k, err := NewLocalKernel(part, core.FormatCSF, s.rank)
+		if err != nil {
+			return err
 		}
-
-		inner := kruskal.InnerWithMTTKRP(lastK, model.Factors[lastMode])
-		res.RelErr = kruskal.RelErr(xNormSq, inner, kruskal.NormSqFromGrams(grams))
-		if opts.Tol > 0 && math.Abs(prevErr-res.RelErr) < opts.Tol {
-			res.Converged = true
-			break
-		}
-		prevErr = res.RelErr
+		s.kernels[i] = k
 	}
-	res.Comm = pricer.Stats()
-	return res, nil
+	return nil
+}
+
+// MTTKRP computes every node's partial concurrently, then reduce-scatters
+// the non-zero rows into k in node order, pricing each row a node sends to
+// its owner.
+func (s *simulator) MTTKRP(m int, factors []*dense.Matrix, k *dense.Matrix, _ mttkrp.LeafFactor, _ mttkrp.Options) error {
+	n := len(s.kernels)
+	rows := make([][]int32, n)
+	vals := make([][]float64, n)
+	var wg sync.WaitGroup
+	wg.Add(n)
+	for i, kern := range s.kernels {
+		go func() {
+			defer wg.Done()
+			rows[i], vals[i] = NonZeroRows(kern.PartialMTTKRP(m, factors, k.Rows, s.rank))
+		}()
+	}
+	wg.Wait()
+	k.Zero()
+	for i := range s.kernels {
+		if err := ReduceRows(k, rows[i], vals[i], s.owned[m][i], &s.pricer); err != nil {
+			return fmt.Errorf("dist: node %d: %w", i, err)
+		}
+	}
+	return nil
+}
+
+func (s *simulator) LeafTree(int) *csf.Tensor { return nil }
+
+func (s *simulator) OOCReport() *stats.OOCReport { return nil }
+
+func (s *simulator) Backend(int) string { return "dist" }
+
+// update runs the owned-rows blocked ADMM on every node concurrently — no
+// communication, the §IV-B property — then prices the allgather of the
+// updated rows to the other nodes and the Gram allreduce (the driver
+// recomputes the replicated Gram from the gathered factor).
+func (s *simulator) update(u core.ModeUpdate) (admm.Stats, error) {
+	n := len(s.kernels)
+	cfg := s.cfg
+	cfg.Prox = s.cons[u.Mode]
+	errs := make([]error, n)
+	var wg sync.WaitGroup
+	wg.Add(n)
+	for i, span := range s.owned[u.Mode] {
+		go func() {
+			defer wg.Done()
+			lo, hi := span[0], span[1]
+			errs[i] = LocalADMM(u.Factor.RowBlock(lo, hi), u.Dual.RowBlock(lo, hi), u.K.RowBlock(lo, hi), u.G, cfg)
+		}()
+	}
+	wg.Wait()
+	for i, err := range errs {
+		if err != nil {
+			return admm.Stats{}, fmt.Errorf("dist: node %d: %w", i, err)
+		}
+	}
+	for _, span := range s.owned[u.Mode] {
+		s.pricer.AllgatherNode(span[1]-span[0], s.rank, n)
+	}
+	s.pricer.GramAllreduce(s.rank, n)
+	return admm.Stats{}, nil
 }
 
 // validateRanges checks that explicit mode-0 ranges partition [0, dim).

@@ -167,6 +167,19 @@ func TestOptionValidation(t *testing.T) {
 	if _, err := Run(x, Options{Nodes: 1, Rank: 2, Constraints: make([]prox.Operator, 2)}); err == nil {
 		t.Fatal("wrong constraint count accepted")
 	}
+	vec := tensor.NewCOO([]int{5}, 2)
+	vec.Append([]int{1}, 1)
+	vec.Append([]int{3}, 2)
+	if _, err := Run(vec, Options{Nodes: 2, Rank: 2, MaxOuterIters: 1}); err == nil {
+		t.Fatal("order-1 tensor accepted")
+	}
+	outside := tensor.NewCOO([]int{4, 4, 4}, 2)
+	outside.Append([]int{0, 1, 2}, 1)
+	outside.Append([]int{3, 0, 0}, 2)
+	outside.Inds[0][1] = 4 // past Dims[0], as a hand-built or decoded tensor may be
+	if _, err := Run(outside, Options{Nodes: 2, Rank: 2, MaxOuterIters: 1}); err == nil {
+		t.Fatal("coordinate outside Dims accepted")
+	}
 }
 
 func TestExplicitMode0RangesMatchEvenPartition(t *testing.T) {

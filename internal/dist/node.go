@@ -1,47 +1,28 @@
 // Node-local building blocks of the distributed AO-ADMM engine, shared by
-// the in-process simulator (Run, this package) and the networked
-// coordinator/worker engine (internal/distnet). Both execute exactly the
-// same per-node arithmetic — the simulator is the numerical and
-// communication-cost oracle for the real engine — so everything a "node"
-// does lives here: model initialization, row partitioning, non-zero
-// placement, the partial MTTKRP, the communication-free owned-rows ADMM
-// step, and the collective pricing rules.
+// the in-process simulator (Run, a core.Drive Engine and Step in this
+// package) and the networked coordinator/worker engine (internal/distnet,
+// the same under core.Drive). Both execute exactly the same per-node
+// arithmetic — the simulator is the numerical and communication-cost
+// oracle for the real engine — so everything a "node" does lives here: row
+// partitioning, non-zero placement, the partial MTTKRP, compaction of a
+// partial to its non-zero rows, the node-order reduce-scatter with its
+// pricing, the communication-free owned-rows ADMM step, and the collective
+// pricing rules. Initialization and constraint broadcast are core's
+// (core.RandomModel, core.BroadcastConstraints).
 package dist
 
 import (
 	"fmt"
-	"math"
-	"math/rand"
 	"sync"
 
 	"aoadmm/internal/admm"
 	"aoadmm/internal/alto"
 	"aoadmm/internal/csf"
 	"aoadmm/internal/dense"
-	"aoadmm/internal/kruskal"
 	"aoadmm/internal/mttkrp"
 	"aoadmm/internal/perfmodel"
-	"aoadmm/internal/prox"
 	"aoadmm/internal/tensor"
 )
-
-// InitModel builds the replicated initial factor state every participant
-// starts from: kruskal.Random over a per-run seeded generator — the same
-// construction core.Factorize uses, never the shared package-level
-// math/rand source — followed by the norm-matched rescale of the random
-// factors. Seed-for-seed it reproduces core.Factorize's initialization, so
-// simulated, networked, and shared-memory runs all start from identical
-// factors and their trajectories can be compared bit for bit.
-func InitModel(dims []int, rank int, seed int64, xNormSq float64) *kruskal.Tensor {
-	model := kruskal.Random(dims, rank, rand.New(rand.NewSource(seed)))
-	if m0 := model.NormSq(1); m0 > 0 && xNormSq > 0 {
-		s := math.Pow(xNormSq/m0, 0.5/float64(len(dims)))
-		for _, f := range model.Factors {
-			dense.Scale(f, s)
-		}
-	}
-	return model
-}
 
 // Partition splits n rows into parts contiguous, near-equal half-open
 // ranges [begin, end); the first n%parts ranges are one row longer.
@@ -83,18 +64,6 @@ func SplitByMode0(x *tensor.COO, owned [][2]int) []*tensor.COO {
 		parts[ownerOf[coord[0]]].Append(coord, x.Vals[p])
 	}
 	return parts
-}
-
-// PartialMTTKRP computes one node's partial MTTKRP for an output mode with
-// rows global rows: the contribution of the node's local non-zeros, indexed
-// globally, ready for the reduce-scatter.
-func PartialMTTKRP(tree *csf.Tensor, factors []*dense.Matrix, rows, rank int) *dense.Matrix {
-	out := dense.New(rows, rank)
-	if tree.NNZ() == 0 {
-		return out
-	}
-	mttkrp.Compute(tree, factors, out, nil, mttkrp.Options{Threads: 1})
-	return out
 }
 
 // LocalKernel abstracts a node's compiled MTTKRP representation: the
@@ -152,7 +121,11 @@ type csfKernel struct {
 }
 
 func (k *csfKernel) PartialMTTKRP(m int, factors []*dense.Matrix, rows, rank int) *dense.Matrix {
-	return PartialMTTKRP(k.set.Tree(m), factors, rows, rank)
+	out := dense.New(rows, rank)
+	if k.nnz > 0 {
+		mttkrp.Compute(k.set.Tree(m), factors, out, nil, mttkrp.Options{Threads: 1})
+	}
+	return out
 }
 
 func (k *csfKernel) NNZ() int       { return k.nnz }
@@ -183,44 +156,46 @@ func LocalADMM(factor, dual, k, g *dense.Matrix, cfg admm.Config) error {
 	return err
 }
 
-// GramProduct returns the Hadamard product of every Gram matrix except
-// grams[skip] — the (G) the mode-skip ADMM solves against.
-func GramProduct(grams []*dense.Matrix, skip int) *dense.Matrix {
-	var out *dense.Matrix
-	for m, g := range grams {
-		if m == skip {
-			continue
-		}
-		if out == nil {
-			out = g.Clone()
-		} else {
-			dense.Hadamard(out, out, g)
+// NonZeroRows compacts a node's partial MTTKRP to its reduce-scatter
+// contribution: the indices of the rows with any non-zero entry and those
+// rows' values, row-major. An all-zero row moves nowhere and is never
+// priced.
+func NonZeroRows(p *dense.Matrix) (rows []int32, vals []float64) {
+	for r := 0; r < p.Rows; r++ {
+		src := p.Row(r)
+		for _, v := range src {
+			if v != 0 {
+				rows = append(rows, int32(r))
+				vals = append(vals, src...)
+				break
+			}
 		}
 	}
-	return out
+	return rows, vals
 }
 
-// BroadcastConstraints expands a 0/1/order-length constraint slice to one
-// operator per mode, mirroring core.Options semantics.
-func BroadcastConstraints(cs []prox.Operator, order int) ([]prox.Operator, error) {
-	switch len(cs) {
-	case 0:
-		out := make([]prox.Operator, order)
-		for i := range out {
-			out[i] = prox.Unconstrained{}
+// ReduceRows is one node's share of the K reduce-scatter: it adds the
+// node's compacted partial (NonZeroRows) into k and prices every row
+// outside the node's owned range [owned[0], owned[1]) as one transfer to
+// its owner; vals holds len(rows)·k.Cols values. Engines reduce their
+// nodes in node order, so the float summation order, and hence K, is the
+// same in the simulator and the networked engine. A row outside k is an
+// error.
+func ReduceRows(k *dense.Matrix, rows []int32, vals []float64, owned [2]int, pricer *Pricer) error {
+	for i, r := range rows {
+		row := int(r)
+		if row < 0 || row >= k.Rows {
+			return fmt.Errorf("dist: partial row %d outside dim %d", row, k.Rows)
 		}
-		return out, nil
-	case 1:
-		out := make([]prox.Operator, order)
-		for i := range out {
-			out[i] = cs[0]
+		dst := k.Row(row)
+		for j, v := range vals[i*k.Cols : (i+1)*k.Cols] {
+			dst[j] += v
 		}
-		return out, nil
-	case order:
-		return cs, nil
-	default:
-		return nil, fmt.Errorf("dist: %d constraints for order %d", len(cs), order)
+		if row < owned[0] || row >= owned[1] {
+			pricer.ReduceScatterRow(k.Cols)
+		}
 	}
+	return nil
 }
 
 // Pricer applies the simulator's collective pricing rules to a CommStats.
@@ -258,13 +233,6 @@ func (p *Pricer) AllgatherNode(rows, rank, nodes int) {
 // in a flat model).
 func (p *Pricer) GramAllreduce(rank, nodes int) {
 	p.count(&p.c.GramBytes, int64(rank*rank*8)*int64(nodes-1)*2)
-}
-
-// ADMMBytes prices inner-ADMM communication. The blocked formulation never
-// calls it — the §IV-B property — but the method exists so a baseline
-// implementation would be priced in the same schema.
-func (p *Pricer) ADMMBytes(bytes int64) {
-	p.count(&p.c.ADMMBytes, bytes)
 }
 
 // Stats returns the accumulated tally.

@@ -629,7 +629,7 @@ func (c *Coordinator) RunJob(opts JobOptions) (*JobResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	if _, err := dist.BroadcastConstraints(cons, len(dims)); err != nil {
+	if _, err := core.BroadcastConstraints(cons, len(dims)); err != nil {
 		return nil, err
 	}
 	if opts.Resume != nil && opts.Resume.Factors != nil && !modelMatches(opts.Resume, dims, rank) {
@@ -666,7 +666,7 @@ func (c *Coordinator) RunJob(opts JobOptions) (*JobResult, error) {
 			prevRelErr = opts.Resume.Meta.RelErr
 		}
 	} else {
-		model = dist.InitModel(dims, rank, opts.Seed, xNormSq)
+		model = core.RandomModel(dims, rank, opts.Seed, xNormSq, 1)
 	}
 	duals = withDuals(duals, dims, rank)
 
@@ -891,9 +891,9 @@ func (e *netEngine) assign(model *kruskal.Tensor, duals []*dense.Matrix, startIt
 func (e *netEngine) LeafTree(int) *csf.Tensor { return nil }
 
 // MTTKRP collects every slot's partial MTTKRP — workers send only the
-// non-zero rows — and sums them into k in slot order, so the summation
-// order matches the simulator; each non-owned row is priced exactly as the
-// simulator prices it.
+// non-zero rows (dist.NonZeroRows) — and reduces them into k in slot order
+// with the simulator's own dist.ReduceRows, so the summation order and the
+// priced rows match the simulator.
 func (e *netEngine) MTTKRP(m int, _ []*dense.Matrix, k *dense.Matrix, _ mttkrp.LeafFactor, _ mttkrp.Options) error {
 	if m == 0 {
 		e.iter++
@@ -924,20 +924,8 @@ func (e *netEngine) MTTKRP(m int, _ []*dense.Matrix, k *dense.Matrix, _ mttkrp.L
 	}
 	k.Zero()
 	for i, p := range partials {
-		ob, oe := e.owned[m][i][0], e.owned[m][i][1]
-		for ri, r := range p.Rows {
-			row := int(r)
-			if row < 0 || row >= k.Rows {
-				return fmt.Errorf("distnet: worker %d: partial row %d outside mode %d dim %d",
-					e.slots[i].id, row, m, k.Rows)
-			}
-			dst := k.Row(row)
-			for j, v := range p.Vals[ri*e.rank : (ri+1)*e.rank] {
-				dst[j] += v
-			}
-			if row < ob || row >= oe {
-				e.pricer.ReduceScatterRow(e.rank)
-			}
+		if err := dist.ReduceRows(k, p.Rows, p.Vals, e.owned[m][i], e.pricer); err != nil {
+			return fmt.Errorf("distnet: worker %d: mode %d: %w", e.slots[i].id, m, err)
 		}
 	}
 	return nil

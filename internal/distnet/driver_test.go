@@ -7,7 +7,7 @@ import (
 	"sync"
 	"testing"
 
-	"aoadmm/internal/dist"
+	"aoadmm/internal/core"
 	"aoadmm/internal/kruskal"
 	"aoadmm/internal/stats"
 )
@@ -26,7 +26,7 @@ func TestResumeWithRisingErrorKeepsIterating(t *testing.T) {
 		JobID: "rising", ShardDir: st.Dir(), Rank: rank, MaxOuterIters: iters, Tol: 1e-6,
 		BlockSize: 10, Seed: 1, Workers: 2, WaitForWorkers: 2,
 		Resume: &kruskal.Checkpoint{
-			Factors: dist.InitModel(st.Dims(), rank, 1, st.NormSq()),
+			Factors: core.RandomModel(st.Dims(), rank, 1, st.NormSq(), 1),
 			Meta:    &kruskal.CheckpointMeta{RelErr: 1e-3},
 		},
 	})

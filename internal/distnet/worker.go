@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"aoadmm/internal/admm"
+	"aoadmm/internal/core"
 	"aoadmm/internal/dense"
 	"aoadmm/internal/dist"
 	"aoadmm/internal/obs"
@@ -322,7 +323,8 @@ func (w *Worker) session(ctx context.Context) error {
 			sp.End()
 			w.stats.MTTKRPCalls.Add(1)
 			w.stats.MTTKRPNanos.Add(int64(time.Since(t0)))
-			msg := sparsePartial(p, job.epoch, uint32(m))
+			msg := partial{Epoch: job.epoch, Mode: uint32(m)}
+			msg.Rows, msg.Vals = dist.NonZeroRows(p)
 			if err := send(msgPartial, msg.encode(job.rank)); err != nil {
 				return err
 			}
@@ -498,7 +500,7 @@ func (w *Worker) loadAssignment(a assign, prev *workerJob) (*workerJob, error) {
 	if err != nil {
 		return nil, err
 	}
-	cons, err = dist.BroadcastConstraints(cons, len(dims))
+	cons, err = core.BroadcastConstraints(cons, len(dims))
 	if err != nil {
 		return nil, err
 	}
@@ -531,27 +533,4 @@ func (w *Worker) loadAssignment(a assign, prev *workerJob) (*workerJob, error) {
 		tracer:        tracer,
 		assignedAt:    time.Now(),
 	}, nil
-}
-
-// sparsePartial extracts the non-zero rows of a partial MTTKRP — the
-// reduce-scatter contribution — using exactly the simulator's
-// any-entry-non-zero test so the priced row set matches bit for bit.
-func sparsePartial(p *dense.Matrix, epoch, mode uint32) partial {
-	out := partial{Epoch: epoch, Mode: mode}
-	for r := 0; r < p.Rows; r++ {
-		src := p.Row(r)
-		nonZero := false
-		for _, v := range src {
-			if v != 0 {
-				nonZero = true
-				break
-			}
-		}
-		if !nonZero {
-			continue
-		}
-		out.Rows = append(out.Rows, int32(r))
-		out.Vals = append(out.Vals, src...)
-	}
-	return out
 }
